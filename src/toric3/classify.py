@@ -16,29 +16,30 @@ a differing invariant upgrades it to INEQUIVALENT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .codes import ToricCode, build_code
 from .errors import (
+    InternalCheckFailed,
     InvalidParams,
     ShapeMismatch,
     TheoremWitnessMismatch,
     UnsupportedFamily,
 )
-from .formulas import degenerate_distance, dim4_distance, dim5_distance
+from .formulas import distance_formula
 from .galois import FieldSpec
 from .polytopes import (
     EMPTY_TETRA,
+    FAMILIES,
     SIG21,
     SIG22,
     SIG31,
     SIG32,
+    WIDTH1_SIGNATURES,
     LatticePolytope,
-    empty_tetrahedron,
-    width1_representative,
 )
 
 EQUIVALENT = "EQUIVALENT"
@@ -104,7 +105,8 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         perm = np.empty(c1.n, dtype=np.int64)
         for i, j in zip(order1, order2):
             perm[j] = i
-        assert np.array_equal(c1.G[:, perm], c2.G)
+        if not np.array_equal(c1.G[:, perm], c2.G):
+            raise InternalCheckFailed("column multisets match, yet G1[:, perm] != G2")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
     d1 = c1.min_distance_brute().value
     d2 = c2.min_distance_brute().value
@@ -224,6 +226,23 @@ def dim5_theorem_verdict(
     return EquivalenceVerdict(INCONCLUSIVE, "NONE")
 
 
+def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
+    """The theorem verdict for two family representatives: the dim-4
+    criteria for two empty tetrahedra, the width-1 criteria for two
+    width-1 representatives, INCONCLUSIVE for any other pair."""
+    if pa.family == EMPTY_TETRA and pb.family == EMPTY_TETRA:
+        return dim4_theorem_verdict(q, *pa.params, *pb.params)
+    if pa.family in WIDTH1_SIGNATURES and pb.family in WIDTH1_SIGNATURES:
+        return dim5_theorem_verdict(
+            q,
+            WIDTH1_SIGNATURES[pa.family],
+            pa.params or (0, 0),
+            WIDTH1_SIGNATURES[pb.family],
+            pb.params or (0, 0),
+        )
+    return EquivalenceVerdict(INCONCLUSIVE, "NONE")
+
+
 # -- census --------------------------------------------------------------------
 
 
@@ -238,7 +257,6 @@ class CensusEntry:
     formula: object = None
     class_id: int = -1
     theorem_agrees: bool = True
-    weight_enum: dict = dc_field(default_factory=dict)
 
     def row(self, q: int) -> dict:
         return {
@@ -284,45 +302,16 @@ def dim5_parameter_sweep(q: int):
     return out
 
 
-_SIG_OF_FAMILY = {SIG21: (2, 1), SIG22: (2, 2), SIG31: (3, 1), SIG32: (3, 2)}
-
-
 def _build_entry(field: FieldSpec, family: str, s: int, t: int) -> CensusEntry:
-    if family == EMPTY_TETRA:
-        poly = empty_tetrahedron(s, t)
-        formula = dim4_distance(field.q, t)
-    else:
-        sig = _SIG_OF_FAMILY[family]
-        poly = width1_representative(sig, s, t)
-        formula = dim5_distance(sig, field.q, s, t)
-    entry = CensusEntry(family, s, t, poly)
-    entry.code = build_code(field, poly)
-    entry.d_brute = entry.code.min_distance_brute().value
-    entry.formula = formula
-    entry.weight_enum = entry.code.weight_enumerator()
-    return entry
+    poly = FAMILIES[family].make(s, t)
+    formula = distance_formula(poly, field.q)
+    code = build_code(field, poly)
+    d_brute = code.min_distance_brute().value
+    return CensusEntry(family, s, t, poly, code=code, d_brute=d_brute, formula=formula)
 
 
-def _theorem_verdict_for(q: int, a: CensusEntry, b: CensusEntry):
-    if a.family == EMPTY_TETRA and b.family == EMPTY_TETRA:
-        return dim4_theorem_verdict(q, a.s, a.t, b.s, b.t)
-    if a.family != EMPTY_TETRA and b.family != EMPTY_TETRA:
-        return dim5_theorem_verdict(
-            q,
-            _SIG_OF_FAMILY[a.family],
-            (a.s, a.t),
-            _SIG_OF_FAMILY[b.family],
-            (b.s, b.t),
-        )
-    return EquivalenceVerdict(INCONCLUSIVE, "NONE")
-
-
-def census(field: FieldSpec, dim: int, max_workers: int | None = None):
-    """Group every in-scope parameter tuple into monomial-equivalence
-    classes by witness test, cross-checking each applicable theorem
-    verdict along the way.  A disagreement raises TheoremWitnessMismatch
-    with full reproduction data.
-    """
+def _census_entries(field: FieldSpec, dim: int, max_workers: int | None = None):
+    """One entry per in-scope parameter tuple, its kernel pass already run."""
     q = field.q
     if dim == 4:
         tuples = [(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(q)]
@@ -335,12 +324,14 @@ def census(field: FieldSpec, dim: int, max_workers: int | None = None):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(
-                pool.map(lambda ft: _build_entry(field, *ft), tuples)
-            )
-    else:
-        entries = [_build_entry(field, *ft) for ft in tuples]
+            return list(pool.map(lambda ft: _build_entry(field, *ft), tuples))
+    return [_build_entry(field, *ft) for ft in tuples]
 
+
+def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
+    """Set each entry's class_id by witness test, cross-checking each
+    applicable theorem verdict; a disagreement raises
+    TheoremWitnessMismatch."""
     # union-find over pairwise witness verdicts
     parent = list(range(len(entries)))
 
@@ -354,7 +345,7 @@ def census(field: FieldSpec, dim: int, max_workers: int | None = None):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
             wit = witness_equivalence(a.code, b.code)
-            thm = _theorem_verdict_for(q, a, b)
+            thm = theorem_verdict(q, a.polytope, b.polytope)
             # A theorem EQUIVALENT with an INCONCLUSIVE witness is not a
             # contradiction: the lattice-orbit equivalences can need a
             # nontrivial diagonal, which the identity-diagonal witness
@@ -368,8 +359,9 @@ def census(field: FieldSpec, dim: int, max_workers: int | None = None):
                 a.theorem_agrees = b.theorem_agrees = False
                 _mismatch(q, a, b, thm, wit)
             if thm.status == EQUIVALENT or wit.status == EQUIVALENT:
-                # equivalent codes must share their invariants
-                if a.d_brute != b.d_brute or a.weight_enum != b.weight_enum:
+                # equivalent codes must share their weight enumerator, and
+                # so their distance, its least nonzero weight
+                if a.code.weight_enumerator() != b.code.weight_enumerator():
                     a.theorem_agrees = b.theorem_agrees = False
                     _mismatch(q, a, b, thm, wit)
                 parent[find(i)] = find(j)
@@ -381,6 +373,15 @@ def census(field: FieldSpec, dim: int, max_workers: int | None = None):
             roots[r] = len(roots)
         e.class_id = roots[r]
     return entries
+
+
+def census(field: FieldSpec, dim: int, max_workers: int | None = None):
+    """Group every in-scope parameter tuple into monomial-equivalence
+    classes by witness test, cross-checking each applicable theorem
+    verdict along the way.  A disagreement raises TheoremWitnessMismatch
+    with full reproduction data.
+    """
+    return _group_classes(field.q, _census_entries(field, dim, max_workers))
 
 
 def _mismatch(q, a, b, thm, wit):

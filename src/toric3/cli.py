@@ -13,39 +13,9 @@ import sys
 
 from . import classify, formulas
 from .codes import build_code, brute_min_distance_generic
-from .errors import (
-    NoFormulaForFamily,
-    ParseError,
-    Toric3Error,
-)
+from .errors import ParseError, Toric3Error
 from .galois import make_field
-from .polytopes import (
-    EMBEDDED_POLYGON,
-    EMPTY_TETRA,
-    SIG21,
-    SIG22,
-    SIG31,
-    SIG32,
-    LatticePolytope,
-    parse_polytope_spec,
-)
-
-
-def _formula_for(poly: LatticePolytope, q: int):
-    fam = poly.family
-    if fam == EMPTY_TETRA:
-        return formulas.dim4_distance(q, poly.params[1])
-    if fam == SIG21:
-        return formulas.dim5_distance((2, 1), q, *poly.params)
-    if fam == SIG22:
-        return formulas.dim5_distance((2, 2), q)
-    if fam == SIG31:
-        return formulas.dim5_distance((3, 1), q)
-    if fam == SIG32:
-        return formulas.dim5_distance((3, 2), q, *poly.params)
-    if fam == EMBEDDED_POLYGON:
-        return formulas.degenerate_distance(poly.params[0], q)
-    raise NoFormulaForFamily(f"no closed-form distance for family {fam}")
+from .polytopes import embedded_polygon, parse_polytope_spec
 
 
 def cmd_field_info(args) -> int:
@@ -69,7 +39,7 @@ def cmd_mindist(args) -> int:
     out = {"q": args.q, "poly": poly.describe(), "method": args.method}
     ok = True
     if args.method in ("formula", "both"):
-        out["formula"] = _formula_for(poly, args.q).to_dict()
+        out["formula"] = formulas.distance_formula(poly, args.q).to_dict()
     if args.method in ("brute", "both"):
         code = build_code(field, poly)
         out["brute"] = code.min_distance_brute().to_dict()
@@ -83,30 +53,13 @@ def cmd_mindist(args) -> int:
     return 0 if ok else 1
 
 
-def _theorem_verdict(q, pa: LatticePolytope, pb: LatticePolytope):
-    dim4 = {EMPTY_TETRA}
-    dim5 = {SIG21, SIG22, SIG31, SIG32}
-    sig_of = {SIG21: (2, 1), SIG22: (2, 2), SIG31: (3, 1), SIG32: (3, 2)}
-    if pa.family in dim4 and pb.family in dim4:
-        return classify.dim4_theorem_verdict(q, *pa.params, *pb.params)
-    if pa.family in dim5 and pb.family in dim5:
-        return classify.dim5_theorem_verdict(
-            q,
-            sig_of[pa.family],
-            pa.params or (0, 0),
-            sig_of[pb.family],
-            pb.params or (0, 0),
-        )
-    return classify.EquivalenceVerdict(classify.INCONCLUSIVE, "NONE")
-
-
 def cmd_equiv(args) -> int:
     field = make_field(args.q)
     pa = parse_polytope_spec(args.a)
     pb = parse_polytope_spec(args.b)
     out = {"q": args.q, "a": pa.describe(), "b": pb.describe(), "method": args.method}
     if args.method in ("theorem", "both"):
-        out["theorem"] = _theorem_verdict(args.q, pa, pb).to_dict()
+        out["theorem"] = classify.theorem_verdict(args.q, pa, pb).to_dict()
     if args.method in ("witness", "both"):
         wit = classify.witness_equivalence(build_code(field, pa), build_code(field, pb))
         wd = wit.to_dict()
@@ -143,42 +96,31 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _concordant(q: int, entries) -> bool:
+    """Census grouping of the entries; False when it raises a mismatch."""
+    try:
+        classify._group_classes(q, entries)
+    except Toric3Error:
+        return False
+    return True
+
+
 def _verify_one(q: int) -> list[tuple[str, bool]]:
     """Desk-scale verification battery for one field order."""
-    from .polytopes import embedded_polygon
-
     field = make_field(q)
     checks = []
 
-    # dim-4 formula vs brute force on the full sweep
-    ok = True
-    for s, t in classify.dim4_parameter_sweep(q):
-        code = build_code(field, classify._build_entry(field, EMPTY_TETRA, s, t).polytope)
-        if code.min_distance_brute().value != formulas.dim4_distance(q, t).value:
-            ok = False
+    # dim-4 formula vs brute force on the full sweep, then its census
+    entries = classify._census_entries(field, 4)
+    ok = all(e.d_brute == e.formula.value for e in entries)
     checks.append(("dim4 formula == brute", ok))
-
-    # census concordance (raises on mismatch)
-    try:
-        classify.census(field, 4)
-        checks.append(("dim4 census concordance", True))
-    except Toric3Error:
-        checks.append(("dim4 census concordance", False))
+    checks.append(("dim4 census concordance", _concordant(q, entries)))
 
     if q >= 5:
-        ok = True
-        for fam, s, t in classify.dim5_parameter_sweep(q):
-            entry = classify._build_entry(field, fam, s, t)
-            f = entry.formula
-            if not (f.lower <= entry.d_brute <= f.upper):
-                ok = False
+        entries = classify._census_entries(field, 5)
+        ok = all(e.formula.lower <= e.d_brute <= e.formula.upper for e in entries)
         checks.append(("dim5 width-1 formulas/bounds", ok))
-
-        try:
-            classify.census(field, 5)
-            checks.append(("dim5 census concordance", True))
-        except Toric3Error:
-            checks.append(("dim5 census concordance", False))
+        checks.append(("dim5 census concordance", _concordant(q, entries)))
 
         # degenerate distances and the product theorem
         ok = True

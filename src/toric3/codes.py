@@ -15,11 +15,12 @@ table lookups batched over coefficient blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .errors import ExponentCollision, ShapeMismatch, ZeroPolynomial
+from .errors import ExponentCollision, InternalCheckFailed, ShapeMismatch, ZeroPolynomial
 from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
@@ -145,37 +146,47 @@ class ToricCode:
             zeros = np.count_nonzero(words == 0, axis=1)
             yield zeros, self.n - zeros
 
+    @cached_property
+    def _invariants(self) -> tuple[int, int, dict[int, int]]:
+        """(max zeros, min weight, weight enumerator) from one kernel pass.
+
+        Lazy, so a code too large for the kernel (q = 64) can still be
+        built and matched column by column.  Every nonzero projective
+        class contributes q-1 codewords of equal weight.
+        """
+        q = self.field.q
+        mz, mw = 0, self.n
+        counts: dict[int, int] = {0: 1}
+        for zeros, weights in self._zero_weight_per_class():
+            mz = max(mz, int(zeros.max()))
+            mw = min(mw, int(weights.min()))
+            ws, cs = np.unique(weights, return_counts=True)
+            for w, c in zip(ws, cs):
+                counts[int(w)] = counts.get(int(w), 0) + int(c) * (q - 1)
+        if self.n - mz != mw:
+            raise InternalCheckFailed(
+                f"distance cross-check failed: n - maxZ = {self.n - mz}, "
+                f"min weight = {mw}"
+            )
+        if sum(counts.values()) != q**self.k:
+            raise InternalCheckFailed(
+                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**self.k}"
+            )
+        return mz, mw, counts
+
     def max_zeros(self) -> int:
         """max Z(f) over nonzero f in the span of P's monomials."""
-        return max(int(z.max()) for z, _ in self._zero_weight_per_class())
+        return self._invariants[0]
 
     def min_distance_brute(self) -> DistanceResult:
         """Exact minimum distance; n - max Z(f) cross-checked against the
         minimum nonzero codeword weight."""
-        mz, mw = 0, self.n
-        for zeros, weights in self._zero_weight_per_class():
-            mz = max(mz, int(zeros.max()))
-            mw = min(mw, int(weights.min()))
-        if self.n - mz != mw:
-            raise AssertionError(
-                f"distance cross-check failed: n - maxZ = {self.n - mz}, "
-                f"min weight = {mw}"
-            )
+        mw = self._invariants[1]
         return DistanceResult(mw, mw, "brute")
 
     def weight_enumerator(self) -> dict[int, int]:
-        """weight -> count over all q^k codewords.
-
-        Computed from projective classes: every nonzero class contributes
-        q-1 codewords of equal weight.
-        """
-        counts: dict[int, int] = {0: 1}
-        scale = self.field.q - 1
-        for _, weights in self._zero_weight_per_class():
-            ws, cs = np.unique(weights, return_counts=True)
-            for w, c in zip(ws, cs):
-                counts[int(w)] = counts.get(int(w), 0) + int(c) * scale
-        return counts
+        """weight -> count over all q^k codewords, as a new dict."""
+        return dict(self._invariants[2])
 
     def column_tuples(self) -> list[tuple[int, ...]]:
         """Generator-matrix columns as k-tuples, for multiset matching."""

@@ -63,3 +63,7 @@ class ParseError(Toric3Error):
 
 class TheoremWitnessMismatch(Toric3Error):
     """A theorem verdict contradicts the constructive witness grouping."""
+
+
+class InternalCheckFailed(Toric3Error):
+    """A computed result failed its own consistency check: a bug, not bad input."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .codes import DistanceResult
-from .errors import InvalidField, InvalidParams, OutOfRange
+from .errors import InvalidField, InvalidParams, NoFormulaForFamily, OutOfRange
 from .galois import _factor_prime_power
+from .polytopes import EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope
 
 
 def _check_q(q: int, minimum: int = 3) -> None:
@@ -99,3 +100,15 @@ def dim5_distance(sig: tuple[int, int], q: int, s: int = 0, t: int = 0) -> Dista
         # is vacuous but the interval stays valid
         return DistanceResult(max(1, min(lower, upper)), min(n, upper), "bound")
     raise InvalidParams(f"unknown width-1 signature {sig}")
+
+
+def distance_formula(poly: LatticePolytope, q: int) -> DistanceResult:
+    """Closed-form distance or bounds for the code of a family
+    representative; W2 and explicit point lists have none."""
+    if poly.family == EMPTY_TETRA:
+        return dim4_distance(q, poly.params[1])
+    if poly.family == EMBEDDED_POLYGON:
+        return degenerate_distance(poly.params[0], q)
+    if poly.family in WIDTH1_SIGNATURES:
+        return dim5_distance(WIDTH1_SIGNATURES[poly.family], q, *poly.params)
+    raise NoFormulaForFamily(f"no closed-form distance for family {poly.family}")

@@ -6,7 +6,9 @@ explicit affine unimodular maps between equivalent empty tetrahedra.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -68,20 +70,10 @@ class LatticePolytope:
         return len(self.points)
 
     def describe(self) -> str:
-        if self.family == EMPTY_TETRA:
-            return "T(%d,%d)" % self.params
-        if self.family == SIG21:
-            return "P21(%d,%d)" % self.params
-        if self.family == SIG22:
-            return "P22"
-        if self.family == SIG31:
-            return "P31"
-        if self.family == SIG32:
-            return "P32(%d,%d)" % self.params
-        if self.family == WIDTH2:
-            return "W2:%d" % self.params
-        if self.family == EMBEDDED_POLYGON:
-            return "E:%d" % self.params
+        """Spec string that ``parse_polytope_spec`` reads back."""
+        fam = FAMILIES.get(self.family)
+        if fam is not None:
+            return fam.spec % self.params
         return "[" + ";".join("(%d,%d,%d)" % p for p in self.points) + "]"
 
 
@@ -115,9 +107,6 @@ class AffineUnimodularMap:
             for r in range(3)
         )
         return AffineUnimodularMap(m, shift)
-
-
-IDENTITY_MAP = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -234,6 +223,29 @@ def embedded_polygon(i: int) -> LatticePolytope:
     if not 1 <= i <= 4:
         raise OutOfRange(f"embedded polygons are 1..4; got {i}")
     return LatticePolytope(_EMBEDDED_POLYGONS[i - 1], EMBEDDED_POLYGON, (i,))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named family: its spec format, one ``%d`` per parameter, its
+    constructor, and the signature of the width-1 families."""
+
+    spec: str
+    make: Callable[..., LatticePolytope]
+    signature: tuple[int, int] | None = None
+
+
+FAMILIES: dict[str, Family] = {
+    EMPTY_TETRA: Family("T(%d,%d)", empty_tetrahedron),
+    SIG21: Family("P21(%d,%d)", partial(width1_representative, (2, 1)), (2, 1)),
+    SIG22: Family("P22", partial(width1_representative, (2, 2)), (2, 2)),
+    SIG31: Family("P31", partial(width1_representative, (3, 1)), (3, 1)),
+    SIG32: Family("P32(%d,%d)", partial(width1_representative, (3, 2)), (3, 2)),
+    WIDTH2: Family("W2:%d", width2_representative),
+    EMBEDDED_POLYGON: Family("E:%d", embedded_polygon),
+}
+
+WIDTH1_SIGNATURES = {tag: f.signature for tag, f in FAMILIES.items() if f.signature}
 
 
 # -- affine dependence / signature --------------------------------------------
@@ -406,7 +418,6 @@ def apply_map(f: AffineUnimodularMap, poly: LatticePolytope) -> LatticePolytope:
 
 # -- spec string grammar --------------------------------------------------------
 
-_PARAM_RE = re.compile(r"^([A-Za-z]+[0-9]*)\((-?\d+),(-?\d+)\)$")
 _POINT_RE = re.compile(r"\((-?\d+),(-?\d+),(-?\d+)\)")
 
 
@@ -415,14 +426,6 @@ def parse_polytope_spec(text: str) -> LatticePolytope:
     'E:i', or an explicit '[(x,y,z);...]' point list."""
     s = text.strip().replace(" ", "")
     try:
-        if s == "P22":
-            return width1_representative((2, 2))
-        if s == "P31":
-            return width1_representative((3, 1))
-        if s.startswith("W2:"):
-            return width2_representative(int(s[3:]))
-        if s.startswith("E:"):
-            return embedded_polygon(int(s[2:]))
         if s.startswith("[") and s.endswith("]"):
             pts = [
                 (int(a), int(b), int(c)) for a, b, c in _POINT_RE.findall(s[1:-1])
@@ -430,15 +433,10 @@ def parse_polytope_spec(text: str) -> LatticePolytope:
             if not pts:
                 raise ParseError(f"no points in {text!r}")
             return LatticePolytope(tuple(pts), CUSTOM)
-        m = _PARAM_RE.match(s)
-        if m:
-            name, a, b = m.group(1), int(m.group(2)), int(m.group(3))
-            if name == "T":
-                return empty_tetrahedron(a, b)
-            if name == "P21":
-                return width1_representative((2, 1), a, b)
-            if name == "P32":
-                return width1_representative((3, 2), a, b)
+        for fam in FAMILIES.values():
+            m = re.fullmatch(re.escape(fam.spec).replace("%d", r"(-?\d+)"), s)
+            if m:
+                return fam.make(*map(int, m.groups()))
         raise ParseError(f"unrecognized polytope spec {text!r}")
     except (ValueError, OutOfRange, InvalidParams) as e:
         raise ParseError(f"bad polytope spec {text!r}: {e}") from e

@@ -36,8 +36,7 @@ from toric3.polytopes import (
     width1_representative,
     width2_representative,
 )
-
-_SIG_OF_FAMILY = {"SIG21": (2, 1), "SIG22": (2, 2), "SIG31": (3, 1), "SIG32": (3, 2)}
+from toric3.polytopes import WIDTH1_SIGNATURES as _SIG_OF_FAMILY
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
