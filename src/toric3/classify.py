@@ -98,13 +98,14 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         )
     cols1 = c1.column_tuples()
     cols2 = c2.column_tuples()
-    order1 = sorted(range(c1.n), key=cols1.__getitem__)
-    order2 = sorted(range(c2.n), key=cols2.__getitem__)
-    if all(cols1[i] == cols2[j] for i, j in zip(order1, order2)):
+    # lexicographic column order, first row as the primary key; lexsort is
+    # stable, so repeated columns pair in index order
+    order1 = np.lexsort(cols1.T[::-1])
+    order2 = np.lexsort(cols2.T[::-1])
+    if np.array_equal(cols1[order1], cols2[order2]):
         # perm[j] = column of G1 equal to column j of G2
         perm = np.empty(c1.n, dtype=np.int64)
-        for i, j in zip(order1, order2):
-            perm[j] = i
+        perm[order2] = order1
         if not np.array_equal(c1.G[:, perm], c2.G):
             raise InternalCheckFailed("column multisets match, yet G1[:, perm] != G2")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
@@ -350,20 +351,16 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
             # contradiction: the lattice-orbit equivalences can need a
             # nontrivial diagonal, which the identity-diagonal witness
             # cannot produce.  Contradictions are: theorem EQUIVALENT
-            # against a separating invariant, or theorem INEQUIVALENT
-            # against an explicit permutation witness.
-            if thm.status == EQUIVALENT and wit.status == INEQUIVALENT:
+            # against a separating invariant, theorem INEQUIVALENT against
+            # an explicit permutation witness, and equivalent codes whose
+            # weight enumerators (so also distances) differ.
+            merged = EQUIVALENT in (thm.status, wit.status)
+            if {thm.status, wit.status} == {EQUIVALENT, INEQUIVALENT} or (
+                merged and a.code.weight_enumerator() != b.code.weight_enumerator()
+            ):
                 a.theorem_agrees = b.theorem_agrees = False
                 _mismatch(q, a, b, thm, wit)
-            if thm.status == INEQUIVALENT and wit.status == EQUIVALENT:
-                a.theorem_agrees = b.theorem_agrees = False
-                _mismatch(q, a, b, thm, wit)
-            if thm.status == EQUIVALENT or wit.status == EQUIVALENT:
-                # equivalent codes must share their weight enumerator, and
-                # so their distance, its least nonzero weight
-                if a.code.weight_enumerator() != b.code.weight_enumerator():
-                    a.theorem_agrees = b.theorem_agrees = False
-                    _mismatch(q, a, b, thm, wit)
+            if merged:
                 parent[find(i)] = find(j)
 
     roots: dict[int, int] = {}

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 from . import classify, formulas
 from .codes import build_code, brute_min_distance_generic
@@ -80,47 +81,47 @@ def cmd_census(args) -> int:
     field = make_field(args.q)
     entries = classify.census(field, args.dim, max_workers=args.threads)
     rows = [e.row(args.q) for e in entries]
-    if args.out:
+    # one writer for both destinations, so they get the same bytes
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            with open(args.out, "w") as fh:
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
         else:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(json.dumps(rows, indent=2))
     return 0
 
 
-def _concordant(q: int, entries) -> bool:
-    """Census grouping of the entries; False when it raises a mismatch."""
+def _concordance(name: str, q: int, entries) -> tuple[str, bool, str | None]:
+    """Census grouping of the entries as a check; a mismatch it raises
+    fails the check and its message is kept."""
     try:
         classify._group_classes(q, entries)
-    except Toric3Error:
-        return False
-    return True
+    except Toric3Error as e:
+        return name, False, str(e)
+    return name, True, None
 
 
-def _verify_one(q: int) -> list[tuple[str, bool]]:
-    """Desk-scale verification battery for one field order."""
+def _verify_one(q: int) -> list[tuple[str, bool, str | None]]:
+    """Desk-scale verification battery for one field order: (name, ok,
+    error message or None) per check."""
     field = make_field(q)
     checks = []
 
     # dim-4 formula vs brute force on the full sweep, then its census
     entries = classify._census_entries(field, 4)
     ok = all(e.d_brute == e.formula.value for e in entries)
-    checks.append(("dim4 formula == brute", ok))
-    checks.append(("dim4 census concordance", _concordant(q, entries)))
+    checks.append(("dim4 formula == brute", ok, None))
+    checks.append(_concordance("dim4 census concordance", q, entries))
 
     if q >= 5:
         entries = classify._census_entries(field, 5)
         ok = all(e.formula.lower <= e.d_brute <= e.formula.upper for e in entries)
-        checks.append(("dim5 width-1 formulas/bounds", ok))
-        checks.append(("dim5 census concordance", _concordant(q, entries)))
+        checks.append(("dim5 width-1 formulas/bounds", ok, None))
+        checks.append(_concordance("dim5 census concordance", q, entries))
 
         # degenerate distances and the product theorem
         ok = True
@@ -137,7 +138,7 @@ def _verify_one(q: int) -> list[tuple[str, bool]]:
             )
             if d3 != (q - 1) * d2:
                 ok = False
-        checks.append(("degenerate + product theorem", ok))
+        checks.append(("degenerate + product theorem", ok, None))
 
     return checks
 
@@ -147,8 +148,10 @@ def cmd_verify(args) -> int:
     all_ok = True
     for q in qs:
         checks = _verify_one(q)
-        for name, ok in checks:
+        for name, ok, error in checks:
             print(f"q={q:<3} {'PASS' if ok else 'FAIL'}  {name}")
+            if error:
+                print(f"error: {error}", file=sys.stderr)
             all_ok = all_ok and ok
     return 0 if all_ok else 1
 

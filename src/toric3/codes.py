@@ -63,7 +63,6 @@ def _monomial_row(field: FieldSpec, exponents, m: int) -> np.ndarray:
     """Evaluations of x^a over the torus (F_q*)^m, columns in lex order
     of the discrete-log indices."""
     n1 = field.q - 1
-    row = np.zeros((n1,) * m, dtype=np.int64)
     grids = np.meshgrid(*[np.arange(n1)] * m, indexing="ij")
     idx = sum(int(a) * g for a, g in zip(exponents, grids)) % n1
     return field.exp_table[idx].reshape(-1)
@@ -107,11 +106,15 @@ class ToricCode:
         u = list(u)
         if len(u) != self.k:
             raise ShapeMismatch(f"coefficient vector must have length {self.k}")
+        return self._words(np.array([u], dtype=np.int64))[0]
+
+    def _words(self, block) -> np.ndarray:
+        """Codewords uG, one row per row u of a (b, k) coefficient block."""
         f = self.field
-        word = np.zeros(self.n, dtype=np.int64)
-        for c, row in zip(u, self.G):
-            word = f.add_table[word, f.mul_table[c, row]]
-        return word
+        words = np.zeros((len(block), self.n), dtype=np.int64)
+        for r in range(self.k):
+            words = f.add_table[words, f.mul_table[block[:, r]][:, self.G[r]]]
+        return words
 
     def count_zeros(self, u) -> int:
         """Number of torus points at which the polynomial with
@@ -138,12 +141,8 @@ class ToricCode:
 
     def _zero_weight_per_class(self):
         """Yield (zeros, weights) arrays over projective classes."""
-        f = self.field
         for block in self._projective_blocks():
-            words = np.zeros((len(block), self.n), dtype=np.int64)
-            for r in range(self.k):
-                words = f.add_table[words, f.mul_table[block[:, r]][:, self.G[r]]]
-            zeros = np.count_nonzero(words == 0, axis=1)
+            zeros = np.count_nonzero(self._words(block) == 0, axis=1)
             yield zeros, self.n - zeros
 
     @cached_property
@@ -188,9 +187,9 @@ class ToricCode:
         """weight -> count over all q^k codewords, as a new dict."""
         return dict(self._invariants[2])
 
-    def column_tuples(self) -> list[tuple[int, ...]]:
-        """Generator-matrix columns as k-tuples, for multiset matching."""
-        return [tuple(int(v) for v in self.G[:, j]) for j in range(self.n)]
+    def column_tuples(self) -> np.ndarray:
+        """Columns of G as the rows of a read-only (n, k) view, no copy."""
+        return self.G.T
 
     def dump_log_matrix(self) -> list[list]:
         """Rows of discrete-log indices; zero entries marked '-inf'."""

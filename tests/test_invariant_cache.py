@@ -48,10 +48,11 @@ def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypa
 
     monkeypatch.setattr(classify, "_group_classes", mismatch)
     assert main(["verify", "--q", "5"]) == 1
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "PASS  dim4 formula == brute" in out
     assert "FAIL  dim4 census concordance" in out
     assert "PASS  dim5 width-1 formulas/bounds" in out
+    assert "q=5: forced" in err
 
 
 def test_witness_fallback_reads_the_cached_invariants(passes):
@@ -101,7 +102,9 @@ def test_witness_checks_its_permutation():
 
 
 def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
-    monkeypatch.setattr(ToricCode, "column_tuples", lambda self: [()] * self.n)
+    monkeypatch.setattr(
+        ToricCode, "column_tuples", lambda self: np.zeros((self.n, self.k), dtype=np.int64)
+    )
     argv = ["equiv", "--q", "5", "--a", "T(1,1)", "--b", "T(1,2)", "--method", "witness"]
     assert main(argv) == 1
     assert "G1[:, perm] != G2" in capsys.readouterr().err
