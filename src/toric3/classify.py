@@ -311,7 +311,7 @@ def _build_entry(field: FieldSpec, family: str, s: int, t: int) -> CensusEntry:
     return CensusEntry(family, s, t, poly, code=code, d_brute=d_brute, formula=formula)
 
 
-def _census_entries(field: FieldSpec, dim: int, max_workers: int | None = None):
+def _census_entries(field: FieldSpec, dim: int):
     """One entry per in-scope parameter tuple, its kernel pass already run."""
     q = field.q
     if dim == 4:
@@ -320,12 +320,6 @@ def _census_entries(field: FieldSpec, dim: int, max_workers: int | None = None):
         tuples = dim5_parameter_sweep(q)
     else:
         raise InvalidParams(f"dim must be 4 or 5; got {dim}")
-
-    if max_workers and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda ft: _build_entry(field, *ft), tuples))
     return [_build_entry(field, *ft) for ft in tuples]
 
 
@@ -372,13 +366,13 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     return entries
 
 
-def census(field: FieldSpec, dim: int, max_workers: int | None = None):
+def census(field: FieldSpec, dim: int):
     """Group every in-scope parameter tuple into monomial-equivalence
     classes by witness test, cross-checking each applicable theorem
     verdict along the way.  A disagreement raises TheoremWitnessMismatch
     with full reproduction data.
     """
-    return _group_classes(field.q, _census_entries(field, dim, max_workers))
+    return _group_classes(field.q, _census_entries(field, dim))
 
 
 def _mismatch(q, a, b, thm, wit):

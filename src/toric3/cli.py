@@ -79,7 +79,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_census(args) -> int:
     field = make_field(args.q)
-    entries = classify.census(field, args.dim, max_workers=args.threads)
+    entries = classify.census(field, args.dim)
     rows = [e.row(args.q) for e in entries]
     # one writer for both destinations, so they get the same bytes
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
@@ -144,9 +144,8 @@ def _verify_one(q: int) -> list[tuple[str, bool, str | None]]:
 
 
 def cmd_verify(args) -> int:
-    qs = [int(x) for x in args.q.split(",")]
     all_ok = True
-    for q in qs:
+    for q in args.q:
         checks = _verify_one(q)
         for name, ok, error in checks:
             print(f"q={q:<3} {'PASS' if ok else 'FAIL'}  {name}")
@@ -154,6 +153,16 @@ def cmd_verify(args) -> int:
                 print(f"error: {error}", file=sys.stderr)
             all_ok = all_ok and ok
     return 0 if all_ok else 1
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of ints."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of ints: {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,11 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=[4, 5], required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument("--q", required=True, help="comma-separated field orders")
+    p.add_argument("--q", type=_int_list, required=True, help="comma-separated field orders")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -6,10 +6,16 @@ the torus (F_q*)^m.  Columns are ordered lexicographically by the
 exponent triple (i, j, l) of (alpha^i, alpha^j, alpha^l), so matrices
 are reproducible across runs.
 
-The zero-counting kernels enumerate one polynomial per projective class
-(first nonzero coefficient = 1); scaling by a unit preserves the zero
-set, so this is exact, not a heuristic.  All inner loops are numpy
-table lookups batched over coefficient blocks.
+The zero-counting kernel evaluates one polynomial per torus orbit.
+Scaling the variables by a torus point and the polynomial by a unit
+permutes the torus, so it keeps the zero count.  On the codewords whose
+coefficients have support S, written in discrete logs, this action is
+translation by the lattice L_S spanned by the columns of the
+homogenized exponent matrix H_S (one row (1, p) per point p of S) and
+by (q-1)Z^|S|.  The orbits are the cosets of L_S, so one codeword per
+coset, weighted by the coset size, gives the exact weight enumerator
+and distance; this is exact, not a heuristic.  All inner loops are
+numpy table lookups batched over coefficient blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -24,8 +31,8 @@ from .errors import ExponentCollision, InternalCheckFailed, ShapeMismatch, ZeroP
 from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
-# batch of projective representatives processed per numpy block
-_BLOCK = 512
+# bytes of int64 codewords evaluated per numpy block
+_WORD_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -123,45 +130,42 @@ class ToricCode:
             raise ZeroPolynomial("the zero polynomial vanishes everywhere")
         return int(np.count_nonzero(self.encode(u) == 0))
 
-    def _projective_blocks(self):
-        """Yield blocks of coefficient vectors, one per projective class
-        (first nonzero coefficient = 1), as (block, k) int arrays."""
-        q, k = self.field.q, self.k
-        for lead in range(k):
-            # u = (0,...,0, 1, *) with q^(k-lead-1) free tails
-            tail = k - lead - 1
-            tails = np.array(list(product(range(q), repeat=tail)), dtype=np.int64)
-            tails = tails.reshape(len(tails), tail)
-            block = np.zeros((len(tails), k), dtype=np.int64)
-            block[:, lead] = 1
-            if tail:
-                block[:, lead + 1 :] = tails
-            for lo in range(0, len(block), _BLOCK):
-                yield block[lo : lo + _BLOCK]
-
     def _zero_weight_per_class(self):
-        """Yield (zeros, weights) arrays over projective classes."""
-        for block in self._projective_blocks():
-            zeros = np.count_nonzero(self._words(block) == 0, axis=1)
-            yield zeros, self.n - zeros
+        """Yield (zeros, weights, classes) arrays, one entry per torus
+        orbit: its zero count, its weight and its number of projective
+        classes."""
+        k, n1 = self.k, self.field.q - 1
+        hom = [(1, *p) for p in self.polytope.points]
+        rows = max(1, _WORD_BYTES // (8 * self.n))
+        for mask in range(1, 2**k):
+            support = [i for i in range(k) if mask >> i & 1]
+            box = _orbit_box([hom[i] for i in support], n1)
+            orbits = prod(box)
+            classes = n1 ** (len(support) - 1) // orbits
+            for lo in range(0, orbits, rows):
+                flat = np.arange(lo, min(lo + rows, orbits))
+                block = np.zeros((len(flat), k), dtype=np.int64)
+                block[:, support] = self.field.exp_table[
+                    np.stack(np.unravel_index(flat, box), axis=1)
+                ]
+                zeros = np.count_nonzero(self._words(block) == 0, axis=1)
+                yield zeros, self.n - zeros, np.full(len(flat), classes)
 
     @cached_property
     def _invariants(self) -> tuple[int, int, dict[int, int]]:
         """(max zeros, min weight, weight enumerator) from one kernel pass.
 
-        Lazy, so a code too large for the kernel (q = 64) can still be
-        built and matched column by column.  Every nonzero projective
+        Lazy, so a code is only enumerated when asked.  Every projective
         class contributes q-1 codewords of equal weight.
         """
         q = self.field.q
         mz, mw = 0, self.n
         counts: dict[int, int] = {0: 1}
-        for zeros, weights in self._zero_weight_per_class():
+        for zeros, weights, classes in self._zero_weight_per_class():
             mz = max(mz, int(zeros.max()))
             mw = min(mw, int(weights.min()))
-            ws, cs = np.unique(weights, return_counts=True)
-            for w, c in zip(ws, cs):
-                counts[int(w)] = counts.get(int(w), 0) + int(c) * (q - 1)
+            for w, c in zip(weights.tolist(), classes.tolist()):
+                counts[w] = counts.get(w, 0) + c * (q - 1)
         if self.n - mz != mw:
             raise InternalCheckFailed(
                 f"distance cross-check failed: n - maxZ = {self.n - mz}, "
@@ -198,6 +202,34 @@ class ToricCode:
         for row in self.G:
             out.append([int(log[v]) if v != 0 else "-inf" for v in row])
         return out
+
+
+def _orbit_box(rows, n1: int) -> tuple[int, ...]:
+    """Diagonal h of a triangular basis of the lattice spanned by the
+    columns of the integer matrix ``rows`` (r rows) and by n1*Z^r.
+
+    The box 0 <= y_i < h_i holds exactly one point of each coset of the
+    lattice in Z^r, so prod(h) is its index.  Integer echelon reduction:
+    per column, Euclid on the remaining generators until one is nonzero
+    there; that one is the pivot and leaves the set.
+    """
+    r = len(rows)
+    gens = [list(col) for col in zip(*rows)]
+    gens += [[n1 if i == j else 0 for j in range(r)] for i in range(r)]
+    box = []
+    for col in range(r):
+        while True:
+            live = [g for g in gens if g[col]]
+            pivot = min(live, key=lambda g: abs(g[col]))
+            if len(live) == 1:
+                break
+            for g in live:
+                if g is not pivot:
+                    c = g[col] // pivot[col]
+                    g[:] = [a - c * b for a, b in zip(g, pivot)]
+        box.append(abs(pivot[col]))
+        gens = [g for g in gens if g is not pivot]
+    return tuple(box)
 
 
 def build_code(field: FieldSpec, polytope: LatticePolytope) -> ToricCode:

@@ -272,9 +272,3 @@ class TestCensus:
             "d_formula_lower", "d_formula_upper", "d_brute",
             "class_id", "theorem_agrees",
         }
-
-    def test_threaded_matches_sequential(self):
-        f = make_field(5)
-        seq = [(e.class_id, e.d_brute) for e in census(f, 4)]
-        par = [(e.class_id, e.d_brute) for e in census(f, 4, max_workers=4)]
-        assert seq == par

@@ -124,3 +124,10 @@ def test_equiv_theorem_closure_criterion(capsys):
     assert json.loads(out)["theorem"] == {
         "status": "EQUIVALENT", "evidence": "THEOREM", "criterion": "same-t:orbit-mod-gcd",
     }
+
+
+def test_verify_bad_q_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "5,x"])
+    assert exc.value.code == 2
+    assert "comma-separated list of ints" in capsys.readouterr().err

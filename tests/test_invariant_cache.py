@@ -29,9 +29,8 @@ def passes(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_census_runs_one_pass_per_entry(passes, workers):
-    entries = census(make_field(7), 5, max_workers=workers)
+def test_census_runs_one_pass_per_entry(passes):
+    entries = census(make_field(7), 5)
     assert passes == Counter(id(e.code) for e in entries)
 
 
@@ -79,7 +78,9 @@ def test_weight_enumerator_returns_a_new_dict():
 def test_kernel_distance_cross_check():
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     # n - maxZ = n - 3, but the least weight is n - 2
-    code._zero_weight_per_class = lambda: iter([(np.array([3]), np.array([code.n - 2]))])
+    code._zero_weight_per_class = lambda: iter(
+        [(np.array([3]), np.array([code.n - 2]), np.array([1]))]
+    )
     with pytest.raises(InternalCheckFailed, match="cross-check"):
         code.min_distance_brute()
 
@@ -87,7 +88,9 @@ def test_kernel_distance_cross_check():
 def test_kernel_enumerator_sum_check():
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     # consistent distance, but a single projective class
-    code._zero_weight_per_class = lambda: iter([(np.array([2]), np.array([code.n - 2]))])
+    code._zero_weight_per_class = lambda: iter(
+        [(np.array([2]), np.array([code.n - 2]), np.array([1]))]
+    )
     with pytest.raises(InternalCheckFailed, match="sums to"):
         code.weight_enumerator()
 

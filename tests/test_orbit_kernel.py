@@ -1,0 +1,138 @@
+"""The torus-orbit kernel: equal to the projective-class loop it replaced,
+orbit representatives checked against breadth-first orbits, and the
+declared range q <= 64 computable."""
+
+import json
+import random
+from collections import Counter
+from itertools import product
+from math import prod
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from toric3.classify import _census_entries
+from toric3.cli import main
+from toric3.codes import _orbit_box, build_code
+from toric3.formulas import dim5_distance
+from toric3.galois import make_field
+from toric3.polytopes import parse_polytope_spec
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def projective_reference(code):
+    """(max zeros, min weight, enumerator) with one codeword per projective
+    class (first nonzero coefficient 1): the loop the orbit kernel replaced."""
+    q, k = code.field.q, code.k
+    mz, counts = 0, Counter({0: 1})
+    for lead in range(k):
+        tails = np.array(list(product(range(q), repeat=k - lead - 1)), dtype=np.int64)
+        block = np.zeros((len(tails), k), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1 :] = tails.reshape(len(tails), k - lead - 1)
+        zeros = np.count_nonzero(code._words(block) == 0, axis=1)
+        mz = max(mz, int(zeros.max()))
+        for w, c in Counter((code.n - zeros).tolist()).items():
+            counts[w] += c * (q - 1)
+    return mz, min(w for w in counts if w), dict(counts)
+
+
+def kernel(code):
+    return code.max_zeros(), code.min_distance_brute().value, code.weight_enumerator()
+
+
+@pytest.mark.parametrize("q,dim", [(5, 4), (7, 4), (8, 4), (9, 4), (5, 5), (7, 5)])
+def test_census_entries_match_the_projective_loop(q, dim):
+    for e in _census_entries(make_field(q), dim):
+        assert kernel(e.code) == projective_reference(e.code), e.polytope.describe()
+
+
+SPECS = [f"W2:{i}" for i in range(1, 10)] + [f"E:{i}" for i in range(1, 5)] + [
+    "[(0,0,0);(1,0,0);(0,1,0);(0,0,1);(-1,-1,2);(2,1,-1)]",
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_other_polytopes_match_the_projective_loop(spec):
+    code = build_code(make_field(7), parse_polytope_spec(spec))
+    assert kernel(code) == projective_reference(code)
+
+
+def test_recorded_invariants_match():
+    # perfbench/reference.json was recorded with the projective-class loop
+    records = json.loads(REFERENCE.read_text())["invariants"]
+    assert records
+    for key, rec in records.items():
+        spec, q = key.split("@GF(")
+        code = build_code(make_field(int(q.rstrip(")"))), parse_polytope_spec(spec))
+        enum = {int(w): c for w, c in rec["enumerator"].items()}
+        assert (code.n, code.k, code.min_distance_brute().value) == (rec["n"], rec["k"], rec["d"])
+        assert code.weight_enumerator() == enum, key
+
+
+def orbit_of_zero(gens, r, n1):
+    """Breadth-first orbit of 0 in (Z/n1)^r under adding the generators."""
+    seen = {(0,) * r}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for g in gens:
+                z = tuple((a + b) % n1 for a, b in zip(y, g))
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return seen
+
+
+def check_orbit_box(r, n1, gens):
+    rows = [[g[i] for g in gens] for i in range(r)]  # generators are columns
+    box = _orbit_box(rows, n1)
+    orbit = orbit_of_zero(gens, r, n1)
+    assert prod(box) * len(orbit) == n1**r, (n1, gens)
+    cosets = {
+        min(tuple((a + b) % n1 for a, b in zip(y, z)) for z in orbit)
+        for y in product(*(range(h) for h in box))
+    }
+    assert len(cosets) == prod(box), (n1, gens)
+
+
+@pytest.mark.parametrize("r,n1", list(product(range(1, 4), range(2, 9))))
+def test_orbit_box_against_breadth_first_orbit(r, n1):
+    rng = random.Random(r * 100 + n1)
+    for c in range(4):
+        for _ in range(6):
+            check_orbit_box(r, n1, [[rng.randint(-7, 7) for _ in range(r)] for _ in range(c)])
+
+
+def test_orbit_box_of_homogenized_exponents():
+    # columns (1, p) with negative exponents, as the kernel passes them
+    check_orbit_box(3, 6, [[1, 1, 1], [0, -1, 2], [-1, 0, 1], [2, 3, -1]])
+    check_orbit_box(2, 8, [[1, 1], [-4, 4], [0, 2], [0, 0]])
+
+
+def test_mindist_at_q64(capsys):
+    argv = ["mindist", "--q", "64", "--poly", "T(1,4)", "--method", "both"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["consistent"] is True
+    assert out["brute"]["lower"] == out["brute"]["upper"] == 246078
+
+
+def test_dim5_at_q19():
+    code = build_code(make_field(19), parse_polytope_spec("P32(1,1)"))
+    f = dim5_distance((3, 2), 19, 1, 1)
+    assert (f.lower, f.upper) == (5505, 5506)
+    assert f.lower <= code.min_distance_brute().value <= f.upper
+    assert sum(code.weight_enumerator().values()) == 19**5
+
+
+def test_verify_up_to_q13(capsys):
+    assert main(["verify", "--q", "8,9,11,13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * 5
+    assert all(" PASS " in line for line in lines)
+
