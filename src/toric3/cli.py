@@ -13,10 +13,10 @@ import sys
 from contextlib import nullcontext
 
 from . import classify, formulas
-from .codes import build_code, brute_min_distance_generic
+from .codes import build_code
 from .errors import ParseError, Toric3Error
 from .galois import make_field
-from .polytopes import embedded_polygon, parse_polytope_spec
+from .polytopes import LatticePolytope, embedded_polygon, parse_polytope_spec
 
 
 def cmd_field_info(args) -> int:
@@ -133,9 +133,8 @@ def _verify_one(q: int) -> list[tuple[str, bool, str | None]]:
                 ok = False
             if not f.exact and d3 < f.lower:
                 ok = False
-            d2 = brute_min_distance_generic(
-                field, [p[:2] for p in poly.points], 2
-            )
+            planar = LatticePolytope(tuple(p[:2] for p in poly.points))
+            d2 = build_code(field, planar).min_distance_brute().value
             if d3 != (q - 1) * d2:
                 ok = False
         checks.append(("degenerate + product theorem", ok, None))

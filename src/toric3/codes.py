@@ -1,12 +1,13 @@
-"""Toric code construction and brute-force kernels.
+"""Toric code construction and its enumeration kernel.
 
 A code is built from GF(q) and a lattice polytope P: the generator
 matrix evaluates the monomial of each lattice point at every point of
-the torus (F_q*)^m.  Columns are ordered lexicographically by the
-exponent triple (i, j, l) of (alpha^i, alpha^j, alpha^l), so matrices
-are reproducible across runs.
+the torus (F_q*)^m, where m is the length of the points as given.
+Columns are ordered lexicographically by the exponent vector (i, j, ...)
+of (alpha^i, alpha^j, ...), so matrices are reproducible across runs.
 
-The zero-counting kernel evaluates one polynomial per torus orbit.
+The zero-counting kernel, the only one in the library, works on every
+torus dimension m and evaluates one polynomial per torus orbit.
 Scaling the variables by a torus point and the polynomial by a unit
 permutes the torus, so it keeps the zero count.  On the codewords whose
 coefficients have support S, written in discrete logs, this action is
@@ -66,26 +67,21 @@ class DistanceResult:
         }
 
 
-def _monomial_row(field: FieldSpec, exponents, m: int) -> np.ndarray:
-    """Evaluations of x^a over the torus (F_q*)^m, columns in lex order
-    of the discrete-log indices."""
+def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
+    """k x (q-1)^m matrix of monomial evaluations on (F_q*)^m, m the
+    common length of the exponent vectors; rows follow their order."""
     n1 = field.q - 1
-    grids = np.meshgrid(*[np.arange(n1)] * m, indexing="ij")
-    idx = sum(int(a) * g for a, g in zip(exponents, grids)) % n1
-    return field.exp_table[idx].reshape(-1)
-
-
-def build_generator_matrix(field: FieldSpec, exponent_vectors, m: int) -> np.ndarray:
-    """k x (q-1)^m matrix of monomial evaluations; rows follow the
-    given exponent order."""
-    n1 = field.q - 1
+    if len({len(e) for e in exponent_vectors}) != 1:
+        raise ShapeMismatch("exponent vectors must be nonempty and of one length")
     reduced = [tuple(int(a) % n1 for a in e) for e in exponent_vectors]
     if len(set(reduced)) != len(reduced):
         raise ExponentCollision(
             "two lattice points are congruent mod q-1 componentwise; "
             "the polytope does not fit GF(%d)" % field.q
         )
-    return np.stack([_monomial_row(field, e, m) for e in exponent_vectors])
+    m = len(reduced[0])
+    logs = np.indices((n1,) * m).reshape(m, -1)
+    return field.exp_table[np.array(reduced, dtype=np.int64) @ logs % n1]
 
 
 class ToricCode:
@@ -95,17 +91,17 @@ class ToricCode:
         self.field = field
         self.polytope = polytope
         self.k = polytope.k
-        self.n = (field.q - 1) ** 3
-        self.G = build_generator_matrix(field, polytope.points, 3)
+        self.G = build_generator_matrix(field, polytope.points)
         self.G.setflags(write=False)
+        self.m = len(polytope.points[0])
+        self.n = self.G.shape[1]
 
     def columns(self):
-        """Torus points (x, y, z) in column order."""
-        exp = self.field.exp_table
-        n1 = self.field.q - 1
+        """Torus points as m-tuples, in column order."""
+        exp = self.field.exp_table.tolist()
         return [
-            (int(exp[i]), int(exp[j]), int(exp[l]))
-            for i, j, l in product(range(n1), repeat=3)
+            tuple(exp[i] for i in idx)
+            for idx in product(range(self.field.q - 1), repeat=self.m)
         ]
 
     def encode(self, u) -> np.ndarray:
@@ -235,22 +231,3 @@ def _orbit_box(rows, n1: int) -> tuple[int, ...]:
 def build_code(field: FieldSpec, polytope: LatticePolytope) -> ToricCode:
     return ToricCode(field, polytope)
 
-
-def brute_min_distance_generic(field: FieldSpec, exponent_vectors, m: int) -> int:
-    """Minimum distance of the evaluation code on (F_q*)^m for arbitrary
-    m; independent oracle for the product-theorem checks."""
-    G = build_generator_matrix(field, exponent_vectors, m)
-    k = len(exponent_vectors)
-    q = field.q
-    n = (q - 1) ** m
-    best = n
-    for u in product(range(q), repeat=k):
-        if all(c == 0 for c in u):
-            continue
-        if next(c for c in u if c != 0) != 1:
-            continue  # one representative per projective class
-        word = np.zeros(n, dtype=np.int64)
-        for c, row in zip(u, G):
-            word = field.add_table[word, field.mul_table[c, row]]
-        best = min(best, int(np.count_nonzero(word)))
-    return best

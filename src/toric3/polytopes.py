@@ -427,11 +427,12 @@ def parse_polytope_spec(text: str) -> LatticePolytope:
     s = text.strip().replace(" ", "")
     try:
         if s.startswith("[") and s.endswith("]"):
-            pts = [
-                (int(a), int(b), int(c)) for a, b, c in _POINT_RE.findall(s[1:-1])
-            ]
-            if not pts:
-                raise ParseError(f"no points in {text!r}")
+            pts = []
+            for part in s[1:-1].split(";"):
+                m = _POINT_RE.fullmatch(part)
+                if not m:
+                    raise ParseError(f"bad point {part!r} in {text!r}")
+                pts.append(tuple(map(int, m.groups())))
             return LatticePolytope(tuple(pts), CUSTOM)
         for fam in FAMILIES.values():
             m = re.fullmatch(re.escape(fam.spec).replace("%d", r"(-?\d+)"), s)

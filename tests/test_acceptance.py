@@ -20,13 +20,14 @@ from toric3.classify import (
     dim5_theorem_verdict,
     witness_equivalence,
 )
-from toric3.codes import brute_min_distance_generic, build_code
+from toric3.codes import build_code
 from toric3.errors import TheoremWitnessMismatch
 from toric3.formulas import degenerate_distance, dim4_distance, dim5_distance
 from toric3.galois import make_field
 from toric3.polytopes import (
     WIDTH1_VOLUMES,
     WIDTH2_VOLUMES,
+    LatticePolytope,
     affine_dependence,
     embedded_polygon,
     empty_tetrahedron,
@@ -37,6 +38,8 @@ from toric3.polytopes import (
     width2_representative,
 )
 from toric3.polytopes import WIDTH1_SIGNATURES as _SIG_OF_FAMILY
+
+from oracle import projective_reference
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -129,7 +132,8 @@ def test_criterion_3_degenerate_and_product_theorem():
                 # strict: d must exceed the irrational bound
                 if d3 < degenerate_distance(4, q).lower:
                     failures.append(("bound", q, i, d3))
-            d2 = brute_min_distance_generic(field, [p[:2] for p in poly.points], 2)
+            planar = LatticePolytope(tuple(p[:2] for p in poly.points))
+            d2 = projective_reference(build_code(field, planar))[1]
             if d3 != (q - 1) * d2:
                 failures.append(("product", q, i, d3, d2))
     _report(3, f"degenerate distances + product theorem ({failures or 'all hold'})",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toric3.codes import DistanceResult, brute_min_distance_generic, build_code
+from toric3.codes import DistanceResult, build_code
 from toric3.errors import ExponentCollision, ShapeMismatch, ZeroPolynomial
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -10,6 +10,8 @@ from toric3.polytopes import (
     empty_tetrahedron,
     width1_representative,
 )
+
+from oracle import projective_reference
 
 
 def test_build_code_shape_and_ones_row():
@@ -36,6 +38,12 @@ def test_exponent_collision():
     poly = LatticePolytope(((1, 0, 0), (3, 0, 0)))
     with pytest.raises(ExponentCollision):
         build_code(make_field(3), poly)
+
+
+@pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 0, 1)), ((0, 0), (1, 0, 0)), ()])
+def test_exponent_vectors_of_unequal_length_or_none(points):
+    with pytest.raises(ShapeMismatch):
+        build_code(make_field(5), LatticePolytope(points))
 
 
 def test_column_order_is_lex_in_log_indices():
@@ -136,7 +144,8 @@ def test_product_theorem_embeddings():
         for i in range(1, 5):
             poly = embedded_polygon(i)
             d3 = build_code(f, poly).min_distance_brute().value
-            d2 = brute_min_distance_generic(f, [p[:2] for p in poly.points], 2)
+            planar = LatticePolytope(tuple(p[:2] for p in poly.points))
+            d2 = projective_reference(build_code(f, planar))[1]
             assert d3 == (q - 1) * d2
 
 

@@ -36,9 +36,10 @@ def test_census_runs_one_pass_per_entry(passes):
 
 def test_verify_runs_one_pass_per_code(passes, capsys):
     # GF(5): 5 dim-4 and 9 width-1 census entries, then 4 embedded polygons
+    # and their 4 planar codes for the product theorem
     assert main(["verify", "--q", "5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert sum(passes.values()) == 18
+    assert sum(passes.values()) == 22
 
 
 def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypatch, capsys):

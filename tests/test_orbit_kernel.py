@@ -1,42 +1,25 @@
-"""The torus-orbit kernel: equal to the projective-class loop it replaced,
-orbit representatives checked against breadth-first orbits, and the
-declared range q <= 64 computable."""
+"""The torus-orbit kernel: equal to the projective-class loop it replaced
+in torus dimensions 1, 2 and 3, orbit representatives checked against
+breadth-first orbits, and the declared range q <= 64 computable."""
 
 import json
 import random
-from collections import Counter
 from itertools import product
 from math import prod
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from toric3.classify import _census_entries
 from toric3.cli import main
 from toric3.codes import _orbit_box, build_code
-from toric3.formulas import dim5_distance
+from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
-from toric3.polytopes import parse_polytope_spec
+from toric3.polytopes import LatticePolytope, embedded_polygon, parse_polytope_spec
+
+from oracle import projective_reference
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-
-def projective_reference(code):
-    """(max zeros, min weight, enumerator) with one codeword per projective
-    class (first nonzero coefficient 1): the loop the orbit kernel replaced."""
-    q, k = code.field.q, code.k
-    mz, counts = 0, Counter({0: 1})
-    for lead in range(k):
-        tails = np.array(list(product(range(q), repeat=k - lead - 1)), dtype=np.int64)
-        block = np.zeros((len(tails), k), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1 :] = tails.reshape(len(tails), k - lead - 1)
-        zeros = np.count_nonzero(code._words(block) == 0, axis=1)
-        mz = max(mz, int(zeros.max()))
-        for w, c in Counter((code.n - zeros).tolist()).items():
-            counts[w] += c * (q - 1)
-    return mz, min(w for w in counts if w), dict(counts)
 
 
 def kernel(code):
@@ -58,6 +41,32 @@ SPECS = [f"W2:{i}" for i in range(1, 10)] + [f"E:{i}" for i in range(1, 5)] + [
 def test_other_polytopes_match_the_projective_loop(spec):
     code = build_code(make_field(7), parse_polytope_spec(spec))
     assert kernel(code) == projective_reference(code)
+
+
+def planar(i):
+    return LatticePolytope(tuple(p[:2] for p in embedded_polygon(i).points))
+
+
+LOW_DIM = [planar(i) for i in range(1, 5)] + [
+    LatticePolytope(((0, 0), (1, 0), (0, 1), (-1, -1), (2, -1))),
+    LatticePolytope(((0,), (1,), (2,))),
+]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+@pytest.mark.parametrize("poly", LOW_DIM, ids=lambda p: str(p.points))
+def test_low_dimensional_tori_match_the_projective_loop(q, poly):
+    code = build_code(make_field(q), poly)
+    assert code.n == (q - 1) ** code.m
+    assert kernel(code) == projective_reference(code)
+
+
+def test_product_theorem_at_q32():
+    # d3 = (q-1) d2 for the polygons with a closed form
+    q = 32
+    d2 = [build_code(make_field(q), planar(i)).min_distance_brute().value for i in (1, 2, 3)]
+    assert d2 == [868, 899, 900]
+    assert [(q - 1) * d for d in d2] == [degenerate_distance(i, q).value for i in (1, 2, 3)]
 
 
 def test_recorded_invariants_match():

@@ -286,7 +286,11 @@ class TestSpecGrammar:
         assert poly.points == ((0, 0, 0), (1, 0, 0), (-1, -1, 0))
 
     @pytest.mark.parametrize(
-        "bad", ["T(2,4)", "P21(2,3)", "W2:10", "E:0", "Q(1,2)", "[]", "nope"]
+        "bad",
+        [
+            "T(2,4)", "P21(2,3)", "W2:10", "E:0", "Q(1,2)", "[]", "nope",
+            "[(0,0,0);(1,0,0);(0,1)]", "[(0,0,0);junk;(1,0,0)]", "[(0,0,0)(1,0,0)]",
+        ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
