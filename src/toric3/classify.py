@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .codes import ToricCode, build_code
+from .codes import ToricCode, _torus_logs, build_code
 from .errors import (
     InternalCheckFailed,
     InvalidParams,
@@ -40,6 +40,7 @@ from .polytopes import (
     SIG32,
     WIDTH1_SIGNATURES,
     LatticePolytope,
+    white_canonical,
 )
 
 EQUIVALENT = "EQUIVALENT"
@@ -78,10 +79,12 @@ def column_partition(code: ToricCode) -> ColumnPartition:
     if fam not in (EMPTY_TETRA, SIG21):
         raise UnsupportedFamily(f"column partition is defined for T and P21, not {fam}")
     _, t = code.polytope.params
-    f = code.field
+    exp, n1 = code.field.exp_table, code.field.q - 1
+    # x = alpha^i, y = alpha^j, z = alpha^l per column, so y^t = alpha^(j*t)
+    i, j, l = _torus_logs(n1, code.m)
+    keys = zip(exp[i].tolist(), exp[l].tolist(), exp[j * t % n1].tolist())
     cells: dict = {}
-    for idx, (x, y, z) in enumerate(code.columns()):
-        key = (x, z, f.pow(y, t))
+    for idx, key in enumerate(keys):
         cells.setdefault(key, []).append(idx)
     return ColumnPartition(t, cells)
 
@@ -158,16 +161,10 @@ def dim4_theorem_verdict(
         g = gcd(t, q - 1)
         if (s1 - s2) % g == 0:
             return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:residue-mod-gcd")
-        white = any(
-            (s1 - r) % t == 0
-            for r in (s2, -s2, pow(s2, -1, t) if t > 1 else 0, -pow(s2, -1, t) if t > 1 else 0)
-        )
-        if white:
+        if white_canonical(s1, t) == white_canonical(s2, t):
             return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:lattice-orbit")
-        if g > 1:
-            inv = pow(s2, -1, g)
-            if any((s1 - r) % g == 0 for r in (-s2, inv, -inv)):
-                return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:orbit-mod-gcd")
+        if white_canonical(s1, g) == white_canonical(s2, g):
+            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:orbit-mod-gcd")
         return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "same-t:neither-condition")
     if s1 == s2:
         if gcd(t1, q - 1) == gcd(t2, q - 1):
@@ -352,7 +349,6 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
             if {thm.status, wit.status} == {EQUIVALENT, INEQUIVALENT} or (
                 merged and a.code.weight_enumerator() != b.code.weight_enumerator()
             ):
-                a.theorem_agrees = b.theorem_agrees = False
                 _mismatch(q, a, b, thm, wit)
             if merged:
                 parent[find(i)] = find(j)

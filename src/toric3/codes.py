@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import prod
 
 import numpy as np
@@ -79,9 +78,14 @@ def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
             "two lattice points are congruent mod q-1 componentwise; "
             "the polytope does not fit GF(%d)" % field.q
         )
-    m = len(reduced[0])
-    logs = np.indices((n1,) * m).reshape(m, -1)
+    logs = _torus_logs(n1, len(reduced[0]))
     return field.exp_table[np.array(reduced, dtype=np.int64) @ logs % n1]
+
+
+def _torus_logs(n1: int, m: int) -> np.ndarray:
+    """(m, n1^m) discrete logs of the torus points, one column per
+    point, lexicographic: the column order of every generator matrix."""
+    return np.indices((n1,) * m).reshape(m, -1)
 
 
 class ToricCode:
@@ -98,11 +102,8 @@ class ToricCode:
 
     def columns(self):
         """Torus points as m-tuples, in column order."""
-        exp = self.field.exp_table.tolist()
-        return [
-            tuple(exp[i] for i in idx)
-            for idx in product(range(self.field.q - 1), repeat=self.m)
-        ]
+        points = self.field.exp_table[_torus_logs(self.field.q - 1, self.m)]
+        return list(map(tuple, points.T.tolist()))
 
     def encode(self, u) -> np.ndarray:
         """Codeword uG as a length-n vector of field values."""
@@ -191,13 +192,9 @@ class ToricCode:
         """Columns of G as the rows of a read-only (n, k) view, no copy."""
         return self.G.T
 
-    def dump_log_matrix(self) -> list[list]:
-        """Rows of discrete-log indices; zero entries marked '-inf'."""
-        log = self.field.log_table
-        out = []
-        for row in self.G:
-            out.append([int(log[v]) if v != 0 else "-inf" for v in row])
-        return out
+    def dump_log_matrix(self) -> list[list[int]]:
+        """Rows of discrete-log indices; every entry of G is a unit."""
+        return self.field.log_table[self.G].tolist()
 
 
 def _orbit_box(rows, n1: int) -> tuple[int, ...]:

@@ -1,16 +1,17 @@
 """Exact arithmetic in GF(q) for prime powers q <= 64.
 
-Elements are plain ints.  For prime q they are residues mod p.  For
-extension fields GF(p^m) an element encodes its coefficient vector in
-base p (value = sum c_i * p^i), so addition is digit-wise mod p and
-multiplication runs through discrete-log tables built from a pinned
-primitive polynomial.  Pinning the modulus makes exp/log tables, and
+Elements are plain ints.  An element of GF(p^m) encodes its coefficient
+vector in base p (value = sum c_i * p^i), so addition is digit-wise mod
+p and multiplication runs through discrete-log tables built from a
+pinned primitive polynomial.  A prime field is the case m = 1 with the
+modulus x - alpha, alpha the smallest primitive root, so its elements
+are the residues mod p.  Pinning the modulus makes exp/log tables, and
 hence every column ordering and JSON output downstream, reproducible.
 
 All units are powers of the generator ``alpha``; ``exp``/``log`` tables
 are mutually inverse on units.  Full q x q add/mul tables are
-precomputed (q <= 64, so at most 4096 entries each) because the
-zero-counting kernels index them with numpy.
+precomputed by numpy from the digit array (q <= 64, so at most 4096
+entries each) because the zero-counting kernels index them.
 """
 
 from __future__ import annotations
@@ -74,36 +75,13 @@ class FieldSpec:
 
     # -- table construction -------------------------------------------------
 
-    def _digits(self, v: int) -> list[int]:
-        d = []
-        for _ in range(self.m):
-            d.append(v % self.p)
-            v //= self.p
-        return d
-
-    def _undigits(self, d) -> int:
-        v = 0
-        for c in reversed(d):
-            v = v * self.p + c
-        return v
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _mul_alpha_raw(self, a: int) -> int:
-        """Multiply by the generator without log tables (bootstrap only)."""
-        if self.m == 1:
-            return (a * self.alpha) % self.p
-        d = [0] + self._digits(a)  # multiply by x
-        lead = d[self.m]
-        mod = self.modulus
-        return self._undigits([(d[i] - lead * mod[i]) % self.p for i in range(self.m)])
-
     def _build_tables(self):
-        q = self.q
+        p, m, q = self.p, self.m, self.q
+        # row v holds the base-p digits of v, lowest first
+        place = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // place % p
+        # a prime field is GF(p)[x]/(x - alpha), the case m = 1
+        low = np.array((self.modulus or ((-self.alpha) % p, 1))[:m])
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         v = 1
@@ -114,32 +92,18 @@ class FieldSpec:
                 )
             exp[i] = v
             log[v] = i
-            v = self._mul_alpha_raw(v)
+            # times x: shift the digits up, fold the top one back by the modulus
+            d = digits[v]
+            v = int((np.r_[0, d[:-1]] - d[-1] * low) % p @ place)
         if v != 1:
             raise UnsupportedOrder(f"generator for q={q} does not close its cycle")
         self.exp_table = exp
         self.log_table = log
-
-        add = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                s = self._add_raw(a, b)
-                add[a, b] = s
-                add[b, a] = s
-        self.add_table = add
-
+        self.add_table = (digits[:, None] + digits[None]) % p @ place
+        self.neg_table = -digits % p @ place
         mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(1, q):
-            la = log[a]
-            for b in range(1, q):
-                mul[a, b] = exp[(la + log[b]) % (q - 1)]
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.mul_table = mul
-
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            # -a is the unique b with a + b = 0
-            neg[a] = int(np.where(add[a] == 0)[0][0])
-        self.neg_table = neg
 
     # -- arithmetic ----------------------------------------------------------
 

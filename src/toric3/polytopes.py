@@ -70,11 +70,13 @@ class LatticePolytope:
         return len(self.points)
 
     def describe(self) -> str:
-        """Spec string that ``parse_polytope_spec`` reads back."""
+        """Spec string of the family, or the point list; only family
+        specs and lists of 3-D points are read back by
+        ``parse_polytope_spec``."""
         fam = FAMILIES.get(self.family)
         if fam is not None:
             return fam.spec % self.params
-        return "[" + ";".join("(%d,%d,%d)" % p for p in self.points) + "]"
+        return "[" + ";".join("(" + ",".join(map(str, p)) + ")" for p in self.points) + "]"
 
 
 @dataclass(frozen=True)

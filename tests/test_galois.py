@@ -1,11 +1,47 @@
+import hashlib
 from math import gcd
 
+import numpy as np
 import pytest
 
 from toric3.errors import DivisionByZero, NotPrimePower, UnsupportedOrder, ZeroArgument
-from toric3.galois import make_field, power_image, solve_power
+from toric3.galois import FieldSpec, make_field, power_image, solve_power
 
 SUPPORTED = [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
+
+# SHA-256 of the exp, log, add, mul and neg tables (dtype, shape, bytes)
+# for every prime power 3 <= q <= 64.  Every generator matrix, column
+# order and census row is read from these tables, so any change to one
+# of them must show up here first.
+TABLE_SHA256 = {
+    3: "06b633be7e6dea230d4c3c610fe84f5270131c407ed81d653e0c8aa51b21408b",
+    4: "1addfcb623db4439ab2040a373cf36681dfe697b07b2993d537ceaf7efa57c48",
+    5: "2e4ac27d99b8c0ad878034a435ed7e14f2478fffa7db3c617837e8eaddeb4720",
+    7: "8c130d2ede84cc0d534e00b280800522fe3b6432137f6903da831257fc0ee41a",
+    8: "2f7bafea9236fe3e4f5fb657479a37250dfae2cc2383cc94ca841a565bf166b2",
+    9: "d96654c62d44dfb98c2bfbe6605de3f05336a4f047edd2cfdbcac51deb155cca",
+    11: "f6c4737e69cc387af5389f1b957fdd054cad281a501a527b45177f461ccd7bae",
+    13: "32f6df0d836a04d17f344251d644b4d450ef0bbc77deac29701a6f8f90e73946",
+    16: "f677537c10c7c1d765c14aa970934e66f3dd027daaf5d0f7d30967474ca71257",
+    17: "e9afc95b1280d065054b4a714fe71dcb4b80c93c0ac58a3d7a1932378a7d5957",
+    19: "a8add6d0f152d8eb9d01b7862d85df20823e599745a3eba531b82b8e0d16e208",
+    23: "e16ad385e3cc747c8a347d6164679d44e67554a5e9f88f83dc1552d56c4a492a",
+    25: "3e21f063b120f5797c4bbd6edb45b47cbe697b12ba7d73dba31c91bfe6f8be69",
+    27: "232a8e4d6633ee6f64b7d7c1c759be363c187c5c2092b4ab0684247be22160c5",
+    29: "5d8e5a55b27e6837cd90771c3d0c9495424b622d9d357d82fd63a5d27a5e3215",
+    31: "d452c5727e19b5f5234a67fbf865ae79bcdef5f9a65fe5acaace4fb717b784cf",
+    32: "7df62fb1fc12d3411562e07551523b14832d6b2ad8ae7378380c84c2f41adc94",
+    37: "d8328bfe9671047d06cb1c3c239b91f19aa44c41fdd36cf3eaa9ac4f944e8566",
+    41: "d0d5184433f712b1ad5a220a8181eceb403961c24d28fa9a01b0d578e42ffad1",
+    43: "8f92d430a4c15f47287084c81ff25c49d6511950fa3902cd7cd909d94e47f42f",
+    47: "a4111cd78395f5038bbf9189b2a9a4addcbfa952092557fff91167eb3c90f7d7",
+    49: "50801a3a1c84893e9ef215d2ab44d07e208786991ebae2a98450fc7e7038fc2a",
+    53: "846f09404713c3fc9b5d5c8fffdadb606fe263dce680ed8f4d15d8dda006672f",
+    59: "352ce56a71772a241a064631ca1e997a020796abe9f670262818e9ce9684b4f4",
+    61: "979a98ae1bd9673f7ee70219b8b793c5ef39dcdba5bb4734dd2eace88be12cbc",
+    64: "67c9dc22d783ea804328407fa3a2d94e7aeced1643eff5bf73a7aa3ffebcd141",
+}
+ALL_ORDERS = sorted(TABLE_SHA256)
 
 
 def test_make_field_gf5_primitive_root():
@@ -123,3 +159,65 @@ def test_power_image_gcd_reduction(q):
         img = power_image(f, t)
         assert img == power_image(f, g)
         assert len(img) == (q - 1) // g
+
+
+def _table_digest(f) -> str:
+    h = hashlib.sha256()
+    for name in ("exp", "log", "add", "mul", "neg"):
+        a = getattr(f, name + "_table")
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_all_orders_listed():
+    # every prime power 3 <= q <= 64, the primes 17..61 included
+    assert len(ALL_ORDERS) == 26
+    assert set(SUPPORTED) < set(ALL_ORDERS)
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_tables_pinned(q):
+    assert _table_digest(make_field(q)) == TABLE_SHA256[q]
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_field_axioms_vectorized(q):
+    f = make_field(q)
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    exp, log = f.exp_table, f.log_table
+    for t in (add, mul, neg, exp, log):
+        assert t.dtype == np.int64
+    x = np.arange(q)
+    a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
+    assert np.array_equal(add, add.T)
+    assert np.array_equal(mul, mul.T)
+    assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+    assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+    assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+    assert np.array_equal(add[0], x) and np.array_equal(mul[1], x)
+    assert not mul[0].any()
+    # neg and inv are inverses
+    assert not add[x, neg].any()
+    units = x[1:]
+    inv = np.array([f.inv(u) for u in units])
+    assert np.all(mul[units, inv] == 1)
+    # exp and log invert each other on the units
+    assert np.array_equal(log[exp], np.arange(q - 1))
+    assert np.array_equal(exp[log[units]], units)
+    # alpha generates the unit group: its q-1 powers are the q-1 units
+    assert exp[0] == 1 and exp[1] == f.alpha
+    assert np.array_equal(mul[exp, f.alpha], np.roll(exp, -1))
+    assert np.array_equal(np.sort(exp), units)
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus,alpha",
+    [
+        (2, 2, (1, 0, 1), 2),  # x^2 + 1 = (x + 1)^2 over GF(2)
+        (7, 1, None, 2),  # 2 has order 3 mod 7
+    ],
+)
+def test_non_primitive_input_raises(p, m, modulus, alpha):
+    with pytest.raises(UnsupportedOrder, match="not primitive"):
+        FieldSpec(p, m, modulus, alpha)

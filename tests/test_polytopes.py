@@ -295,3 +295,14 @@ class TestSpecGrammar:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_polytope_spec(bad)
+
+    @pytest.mark.parametrize(
+        "points,text",
+        [
+            (((0, 0), (1, 0), (-1, 2)), "[(0,0);(1,0);(-1,2)]"),
+            (((0,), (3,)), "[(0);(3)]"),
+            (((0, 0, 0), (1, 0, -2)), "[(0,0,0);(1,0,-2)]"),
+        ],
+    )
+    def test_describe_point_lists_of_any_length(self, points, text):
+        assert LatticePolytope(points).describe() == text
