@@ -99,13 +99,8 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         raise ShapeMismatch(
             f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]"
         )
-    cols1 = c1.column_tuples()
-    cols2 = c2.column_tuples()
-    # lexicographic column order, first row as the primary key; lexsort is
-    # stable, so repeated columns pair in index order
-    order1 = np.lexsort(cols1.T[::-1])
-    order2 = np.lexsort(cols2.T[::-1])
-    if np.array_equal(cols1[order1], cols2[order2]):
+    order1, order2 = c1._column_order, c2._column_order
+    if np.array_equal(c1.column_tuples()[order1], c2.column_tuples()[order2]):
         # perm[j] = column of G1 equal to column j of G2
         perm = np.empty(c1.n, dtype=np.int64)
         perm[order2] = order1
@@ -254,7 +249,6 @@ class CensusEntry:
     d_brute: int = 0
     formula: object = None
     class_id: int = -1
-    theorem_agrees: bool = True
 
     def row(self, q: int) -> dict:
         return {
@@ -268,7 +262,8 @@ class CensusEntry:
             "d_formula_upper": self.formula.upper,
             "d_brute": self.d_brute,
             "class_id": self.class_id,
-            "theorem_agrees": self.theorem_agrees,
+            # a theorem/witness disagreement raises before any row exists
+            "theorem_agrees": True,
         }
 
 
@@ -349,7 +344,11 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
             if {thm.status, wit.status} == {EQUIVALENT, INEQUIVALENT} or (
                 merged and a.code.weight_enumerator() != b.code.weight_enumerator()
             ):
-                _mismatch(q, a, b, thm, wit)
+                raise TheoremWitnessMismatch(
+                    f"q={q}: {a.polytope.describe()} vs {b.polytope.describe()}: "
+                    f"theorem says {thm.status} ({thm.detail}), witness says "
+                    f"{wit.status}; d_brute={a.d_brute},{b.d_brute}"
+                )
             if merged:
                 parent[find(i)] = find(j)
 
@@ -369,11 +368,3 @@ def census(field: FieldSpec, dim: int):
     with full reproduction data.
     """
     return _group_classes(field.q, _census_entries(field, dim))
-
-
-def _mismatch(q, a, b, thm, wit):
-    raise TheoremWitnessMismatch(
-        f"q={q}: {a.polytope.describe()} vs {b.polytope.describe()}: "
-        f"theorem says {thm.status} ({thm.detail}), witness says {wit.status}; "
-        f"d_brute={a.d_brute},{b.d_brute}"
-    )

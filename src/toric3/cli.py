@@ -93,47 +93,45 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _concordance(name: str, q: int, entries) -> tuple[str, bool, str | None]:
-    """Census grouping of the entries as a check; a mismatch it raises
-    fails the check and its message is kept."""
-    try:
-        classify._group_classes(q, entries)
-    except Toric3Error as e:
-        return name, False, str(e)
-    return name, True, None
+def _formula_error(q: int, poly, d: int, f) -> str | None:
+    """Why d violates the formula interval f, or None if it does not."""
+    if f.lower <= d <= f.upper:
+        return None
+    return f"q={q}: {poly.describe()}: d={d} outside [{f.lower}, {f.upper}]"
 
 
 def _verify_one(q: int) -> list[tuple[str, bool, str | None]]:
     """Desk-scale verification battery for one field order: (name, ok,
-    error message or None) per check."""
+    error naming the first polytope that failed, or None) per check."""
     field = make_field(q)
     checks = []
 
-    # dim-4 formula vs brute force on the full sweep, then its census
-    entries = classify._census_entries(field, 4)
-    ok = all(e.formula.lower <= e.d_brute <= e.formula.upper for e in entries)
-    checks.append(("dim4 formula == brute", ok, None))
-    checks.append(_concordance("dim4 census concordance", q, entries))
+    # formula vs brute force on each full sweep, then its census grouping
+    sweeps = {4: "dim4 formula == brute", 5: "dim5 width-1 formulas/bounds"}
+    for dim in (4, 5) if q >= 5 else (4,):
+        entries = classify._census_entries(field, dim)
+        errors = (_formula_error(q, e.polytope, e.d_brute, e.formula) for e in entries)
+        error = next(filter(None, errors), None)
+        checks.append((sweeps[dim], error is None, error))
+        try:
+            classify._group_classes(q, entries)
+            error = None
+        except Toric3Error as e:
+            error = str(e)
+        checks.append((f"dim{dim} census concordance", error is None, error))
 
     if q >= 5:
-        entries = classify._census_entries(field, 5)
-        ok = all(e.formula.lower <= e.d_brute <= e.formula.upper for e in entries)
-        checks.append(("dim5 width-1 formulas/bounds", ok, None))
-        checks.append(_concordance("dim5 census concordance", q, entries))
-
         # degenerate distances and the product theorem
-        ok = True
         for i in range(1, 5):
             poly = embedded_polygon(i)
-            d3 = build_code(field, poly).min_distance_brute().value
-            f = formulas.degenerate_distance(i, q)
-            if not f.lower <= d3 <= f.upper:
-                ok = False
             planar = LatticePolytope(tuple(p[:2] for p in poly.points))
-            d2 = build_code(field, planar).min_distance_brute().value
-            if d3 != (q - 1) * d2:
-                ok = False
-        checks.append(("degenerate + product theorem", ok, None))
+            d3, d2 = (build_code(field, c).min_distance_brute().value for c in (poly, planar))
+            error = _formula_error(q, poly, d3, formulas.degenerate_distance(i, q))
+            if error is None and d3 != (q - 1) * d2:
+                error = f"q={q}: {poly.describe()}: d3={d3} != (q-1)*d2={(q - 1) * d2}"
+            if error:
+                break
+        checks.append(("degenerate + product theorem", error is None, error))
 
     return checks
 

@@ -192,6 +192,13 @@ class ToricCode:
         """Columns of G as the rows of a read-only (n, k) view, no copy."""
         return self.G.T
 
+    @cached_property
+    def _column_order(self) -> np.ndarray:
+        """G's column indices in stable lexicographic order, sorted once."""
+        order = np.lexsort(self.G[::-1])
+        order.setflags(write=False)
+        return order
+
     def dump_log_matrix(self) -> list[list[int]]:
         """Rows of discrete-log indices; every entry of G is a unit."""
         return self.field.log_table[self.G].tolist()

@@ -104,6 +104,9 @@ class FieldSpec:
         mul = np.zeros((q, q), dtype=np.int64)
         mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.mul_table = mul
+        # make_field hands every caller the same cached tables
+        for table in (exp, log, self.add_table, self.neg_table, mul):
+            table.setflags(write=False)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -231,7 +231,7 @@ class TestCensus:
         classes = sorted(by_class.values(), key=len, reverse=True)
         assert {(0, 1), (1, 1), (1, 3), (2, 3)} in classes
         assert {(1, 2)} in classes
-        assert all(e.theorem_agrees for e in entries)
+        assert all(e.row(5)["theorem_agrees"] for e in entries)
 
     def test_q7_t5_single_class(self):
         # gcd(5, 6) = 1: every s collapses into one class

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from toric3 import classify, formulas
 from toric3.cli import main
+from toric3.codes import DistanceResult, ToricCode
+from toric3.galois import make_field
+from toric3.polytopes import embedded_polygon
 
 
 def run(capsys, *argv):
@@ -131,3 +135,49 @@ def test_verify_bad_q_list_is_a_usage_error(capsys):
         main(["verify", "--q", "5,x"])
     assert exc.value.code == 2
     assert "comma-separated list of ints" in capsys.readouterr().err
+
+
+def test_verify_names_the_polytope_that_fails_its_formula(monkeypatch, capsys):
+    formula = classify.distance_formula
+
+    def wrong_for_t13(poly, q):
+        f = formula(poly, q)
+        return DistanceResult(49, 50, f.method) if poly.describe() == "T(1,3)" else f
+
+    monkeypatch.setattr(classify, "distance_formula", wrong_for_t13)
+    code, out, err = run(capsys, "verify", "--q", "5")
+    assert code == 1
+    assert "FAIL  dim4 formula == brute" in out
+    assert "PASS  dim4 census concordance" in out
+    assert "PASS  dim5 width-1 formulas/bounds" in out
+    # d(T(1,3)) = 48 over GF(5)
+    assert err == "error: q=5: T(1,3): d=48 outside [49, 50]\n"
+
+
+def test_verify_names_the_polygon_that_fails_its_degenerate_distance(monkeypatch, capsys):
+    degenerate = formulas.degenerate_distance
+
+    def wrong_for_e2(i, q):
+        return DistanceResult(1, 1, "formula") if i == 2 else degenerate(i, q)
+
+    monkeypatch.setattr(formulas, "degenerate_distance", wrong_for_e2)
+    code, out, err = run(capsys, "verify", "--q", "5")
+    assert code == 1
+    assert "FAIL  degenerate + product theorem" in out
+    assert err.startswith("error: q=5: E:2: d=") and err.endswith(" outside [1, 1]\n")
+
+
+def test_verify_names_the_polygon_that_fails_the_product_theorem(monkeypatch, capsys):
+    brute = ToricCode.min_distance_brute
+
+    def off_by_one_on_planar_codes(self):
+        d = brute(self)
+        return DistanceResult(d.value + 1, d.value + 1, d.method) if self.m == 2 else d
+
+    monkeypatch.setattr(ToricCode, "min_distance_brute", off_by_one_on_planar_codes)
+    code, out, err = run(capsys, "verify", "--q", "5")
+    assert code == 1
+    assert "FAIL  degenerate + product theorem" in out
+    # the theorem holds, d3 = 4*d2, so the planar distance off by one adds 4
+    d3 = brute(ToricCode(make_field(5), embedded_polygon(1))).value
+    assert err == f"error: q=5: E:1: d3={d3} != (q-1)*d2={d3 + 4}\n"

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from toric3.classify import EQUIVALENT, _census_entries, witness_equivalence
+from toric3.classify import EQUIVALENT, _census_entries, census, witness_equivalence
 from toric3.codes import ToricCode, build_code
 from toric3.galois import make_field
 from toric3.polytopes import empty_tetrahedron, parse_polytope_spec
@@ -68,6 +68,36 @@ def test_witness_reads_the_columns_once_per_code(monkeypatch):
     c1, c2 = (build_code(field, empty_tetrahedron(s, 4)) for s in (1, 3))
     assert witness_equivalence(c1, c2).status == EQUIVALENT
     assert calls == Counter({id(c1): 1, id(c2): 1})
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """Calls of np.lexsort, counted."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+def test_census_sorts_each_code_once(sorts):
+    # GF(7) width 1: 18 entries, 153 pairs, all witnessed
+    entries = census(make_field(7), 5)
+    assert len(sorts) == len(entries) == 18
+
+
+def test_witness_sorts_fresh_codes_once_each(sorts):
+    field = make_field(7)
+    c1, c2 = (build_code(field, empty_tetrahedron(s, 4)) for s in (1, 3))
+    assert witness_equivalence(c1, c2).status == EQUIVALENT
+    assert sorts == [4, 4]
+    assert witness_equivalence(c2, c1).status == EQUIVALENT
+    assert sorts == [4, 4]
+    assert not c1._column_order.flags.writeable
 
 
 @pytest.mark.parametrize("q, spec", [(5, "T(1,2)"), (7, "P21(1,3)"), (8, "T(1,3)")])

@@ -221,3 +221,12 @@ def test_field_axioms_vectorized(q):
 def test_non_primitive_input_raises(p, m, modulus, alpha):
     with pytest.raises(UnsupportedOrder, match="not primitive"):
         FieldSpec(p, m, modulus, alpha)
+
+
+@pytest.mark.parametrize("name", ["exp_table", "log_table", "add_table", "neg_table", "mul_table"])
+def test_shared_tables_are_read_only(name):
+    # make_field is cached: a write would reach every later caller
+    units = make_field(7).units()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(make_field(7), name)[1] = 5
+    assert make_field(7).units() == units

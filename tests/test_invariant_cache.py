@@ -100,7 +100,9 @@ def test_witness_checks_its_permutation():
     field = make_field(5)
     c1 = build_code(field, empty_tetrahedron(1, 1))
     c2 = build_code(field, empty_tetrahedron(1, 2))
-    c2.column_tuples = c1.column_tuples  # the multisets match, the matrices do not
+    # the sorted columns match, the matrices do not
+    c2.column_tuples = c1.column_tuples
+    c2._column_order = c1._column_order
     with pytest.raises(InternalCheckFailed, match="perm"):
         witness_equivalence(c1, c2)
 
