@@ -4,10 +4,11 @@ Two routes are kept deliberately independent and cross-checked:
 
 * theorem verdicts — the gcd / residue criteria for empty tetrahedra
   and the width-1 five-point propositions;
-* a constructive witness test — column-multiset matching of generator
-  matrices with the diagonal fixed to the identity, backed by
-  separating invariants (minimum distance, weight enumerator) when the
-  match fails.
+* a constructive witness test — equal column multisets of the generator
+  matrices, read from each code's column key (the Hermite basis of its
+  exponent lattice), give a permutation with the diagonal fixed to the
+  identity; separating invariants (minimum distance, weight enumerator)
+  back it when the keys differ.
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
@@ -90,8 +91,9 @@ def column_partition(code: ToricCode) -> ColumnPartition:
 
 
 def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
-    """Constructive test: equal column multisets give an explicit
-    permutation witness; unequal multisets are INEQUIVALENT only when a
+    """Constructive test: equal column keys, so equal column multisets,
+    give an explicit permutation witness from the two sorted column
+    orders, checked on G; unequal keys are INEQUIVALENT only when a
     separating invariant corroborates, else INCONCLUSIVE."""
     if c1.field.q != c2.field.q:
         raise ShapeMismatch("codes live over different fields")
@@ -99,11 +101,10 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         raise ShapeMismatch(
             f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]"
         )
-    order1, order2 = c1._column_order, c2._column_order
-    if np.array_equal(c1.column_tuples()[order1], c2.column_tuples()[order2]):
+    if c1._column_key == c2._column_key:
         # perm[j] = column of G1 equal to column j of G2
         perm = np.empty(c1.n, dtype=np.int64)
-        perm[order2] = order1
+        perm[c2._column_order] = c1._column_order
         if not np.array_equal(c1.G[:, perm], c2.G):
             raise InternalCheckFailed("column multisets match, yet G1[:, perm] != G2")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)

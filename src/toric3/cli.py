@@ -77,10 +77,14 @@ def cmd_equiv(args) -> int:
 
 def cmd_census(args) -> int:
     field = make_field(args.q)
-    entries = classify.census(field, args.dim)
-    rows = [e.row(args.q) for e in entries]
-    # one writer for both destinations, so they get the same bytes
-    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+    # opened before the census; one writer for either destination, same bytes
+    try:
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    with out as fh:
+        rows = [e.row(args.q) for e in classify.census(field, args.dim)]
         if args.format == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")

@@ -27,7 +27,9 @@ from math import prod
 
 import numpy as np
 
-from .errors import ExponentCollision, InternalCheckFailed, ShapeMismatch, ZeroPolynomial
+from .errors import (
+    ExponentCollision, InternalCheckFailed, InvalidParams, ShapeMismatch, ZeroPolynomial
+)
 from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
@@ -45,7 +47,7 @@ class DistanceResult:
 
     def __post_init__(self):
         if not 0 < self.lower <= self.upper:
-            raise ValueError(f"bad distance interval [{self.lower}, {self.upper}]")
+            raise InvalidParams(f"bad distance interval [{self.lower}, {self.upper}]")
 
     @property
     def exact(self) -> bool:
@@ -54,7 +56,7 @@ class DistanceResult:
     @property
     def value(self) -> int:
         if not self.exact:
-            raise ValueError("interval result has no single value")
+            raise InvalidParams("interval result has no single value")
         return self.lower
 
     def to_dict(self) -> dict:
@@ -136,7 +138,8 @@ class ToricCode:
         rows = max(1, _WORD_BYTES // (8 * self.n))
         for mask in range(1, 2**k):
             support = [i for i in range(k) if mask >> i & 1]
-            box = _orbit_box([hom[i] for i in support], n1)
+            pivots = _orbit_box([hom[i] for i in support], n1)
+            box = tuple(abs(b[i]) for i, b in enumerate(pivots))
             orbits = prod(box)
             classes = n1 ** (len(support) - 1) // orbits
             for lo in range(0, orbits, rows):
@@ -193,9 +196,24 @@ class ToricCode:
         return self.G.T
 
     @cached_property
+    def _column_key(self) -> tuple[tuple[int, ...], ...]:
+        """Hermite basis of the lattice E*Z^m + (q-1)*Z^k, E the points as
+        rows.  The logs of G's columns run over its residues mod q-1, each
+        equally often, so keys are equal iff column multisets are."""
+        basis = _orbit_box(self.polytope.points, self.field.q - 1)
+        for i, b in enumerate(basis):
+            if b[i] < 0:
+                b[:] = [-a for a in b]
+            # 0 <= row[i] < b[i] in every earlier row
+            for row in basis[:i]:
+                c = row[i] // b[i]
+                row[:] = [a - c * e for a, e in zip(row, b)]
+        return tuple(map(tuple, basis))
+
+    @cached_property
     def _column_order(self) -> np.ndarray:
         """G's column indices in stable lexicographic order, sorted once."""
-        order = np.lexsort(self.G[::-1])
+        order = np.lexsort(self.column_tuples().T[::-1])
         order.setflags(write=False)
         return order
 
@@ -204,32 +222,29 @@ class ToricCode:
         return self.field.log_table[self.G].tolist()
 
 
-def _orbit_box(rows, n1: int) -> tuple[int, ...]:
-    """Diagonal h of a triangular basis of the lattice spanned by the
-    columns of the integer matrix ``rows`` (r rows) and by n1*Z^r.
+def _orbit_box(rows, n1: int) -> list[list[int]]:
+    """Triangular basis b of the lattice spanned by the columns of the
+    integer matrix ``rows`` (r rows) and by n1*Z^r, b[i] zero before i.
 
-    The box 0 <= y_i < h_i holds exactly one point of each coset of the
-    lattice in Z^r, so prod(h) is its index.  Integer echelon reduction:
-    per column, Euclid on the remaining generators until one is nonzero
-    there; that one is the pivot and leaves the set.
+    With h_i = |b[i][i]|, the box 0 <= y_i < h_i holds exactly one point
+    of each coset of the lattice in Z^r, so prod(h) is its index.
+    Integer echelon reduction: per column, Euclid on the remaining
+    generators until one is nonzero there, the pivot b[i].
     """
     r = len(rows)
     gens = [list(col) for col in zip(*rows)]
     gens += [[n1 if i == j else 0 for j in range(r)] for i in range(r)]
-    box = []
+    pivots = []
     for col in range(r):
-        while True:
-            live = [g for g in gens if g[col]]
+        while len(live := [g for g in gens if g[col]]) > 1:
             pivot = min(live, key=lambda g: abs(g[col]))
-            if len(live) == 1:
-                break
             for g in live:
                 if g is not pivot:
                     c = g[col] // pivot[col]
                     g[:] = [a - c * b for a, b in zip(g, pivot)]
-        box.append(abs(pivot[col]))
-        gens = [g for g in gens if g is not pivot]
-    return tuple(box)
+        pivots.append(live[0])
+        gens = [g for g in gens if g is not live[0]]
+    return pivots
 
 
 def build_code(field: FieldSpec, polytope: LatticePolytope) -> ToricCode:

@@ -21,8 +21,8 @@ class ZeroArgument(Toric3Error):
     """An operation that requires a unit received zero."""
 
 
-class InvalidParams(Toric3Error):
-    """Polytope or formula parameters violate their constraints."""
+class InvalidParams(Toric3Error, ValueError):
+    """Polytope, formula or argument values violate their constraints."""
 
 
 class InvalidField(Toric3Error):

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrimePower, UnsupportedOrder, ZeroArgument
+from .errors import DivisionByZero, InvalidParams, NotPrimePower, UnsupportedOrder, ZeroArgument
 
 # Primitive polynomials, coefficients low -> high degree, leading 1 included.
 # One per supported extension order; verified primitive at build time.
@@ -195,7 +195,7 @@ def solve_power(field: FieldSpec, t: int, a: int) -> set[int]:
     if a == 0:
         raise ZeroArgument("solve_power requires a nonzero right-hand side")
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise InvalidParams("t must be >= 1")
     n = field.q - 1
     la = field.log(a)
     g = gcd(t, n)
@@ -214,7 +214,7 @@ def power_image(field: FieldSpec, t: int) -> set[int]:
     only a homomorphism of the unit group for general t.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise InvalidParams("t must be >= 1")
     n = field.q - 1
     g = gcd(t, n)
     return {field.exp(g * j) for j in range(n // g)}

@@ -441,5 +441,5 @@ def parse_polytope_spec(text: str) -> LatticePolytope:
             if m:
                 return fam.make(*map(int, m.groups()))
         raise ParseError(f"unrecognized polytope spec {text!r}")
-    except (ValueError, OutOfRange, InvalidParams) as e:
+    except (ValueError, OutOfRange) as e:
         raise ParseError(f"bad polytope spec {text!r}: {e}") from e

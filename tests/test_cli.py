@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -94,6 +95,17 @@ def test_census_csv(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("q,family,s,t,n,k")
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("where", ["missing-dir/x.json", "."])
+def test_census_out_that_cannot_be_opened_fails_first(where, tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(classify, "census", lambda *a: ran.append(a) or [])
+    code, out, err = run(capsys, "census", "--q", "5", "--dim", "4", "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == "" and ran == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not sys.stdout.closed
 
 
 def test_census_not_prime_power(capsys):

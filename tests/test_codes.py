@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from toric3.codes import DistanceResult, build_code
-from toric3.errors import ExponentCollision, ShapeMismatch, ZeroPolynomial
+from toric3.errors import (
+    ExponentCollision,
+    InvalidParams,
+    ShapeMismatch,
+    Toric3Error,
+    ZeroPolynomial,
+)
 from toric3.galois import make_field
 from toric3.polytopes import (
     LatticePolytope,
@@ -161,6 +167,16 @@ def test_distance_result_validation():
     with pytest.raises(ValueError):
         DistanceResult(0, 4, "brute")
     assert DistanceResult(3, 3, "brute").exact
+
+
+def test_distance_result_errors_are_invalid_params():
+    # still ValueErrors, and Toric3Errors, so the CLI exits 1 on them
+    for lower, upper in ((5, 4), (0, 4)):
+        with pytest.raises(InvalidParams, match="bad distance interval"):
+            DistanceResult(lower, upper, "brute")
+    with pytest.raises(InvalidParams, match="no single value"):
+        DistanceResult(3, 5, "bound").value
+    assert issubclass(InvalidParams, ValueError) and issubclass(InvalidParams, Toric3Error)
 
 
 def test_dump_log_matrix_marks_zero():

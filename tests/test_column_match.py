@@ -1,8 +1,9 @@
 """Columns matched as rows of G's own view, and codewords from the one
 evaluator, each against a plain Python reference."""
 
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from toric3.classify import EQUIVALENT, _census_entries, census, witness_equivalence
 from toric3.codes import ToricCode, build_code
 from toric3.galois import make_field
-from toric3.polytopes import empty_tetrahedron, parse_polytope_spec
+from toric3.polytopes import LatticePolytope, empty_tetrahedron, parse_polytope_spec
 
 
 def _reference_perm(c1, c2):
@@ -42,6 +43,63 @@ def test_witness_permutation_equals_the_reference(q, dim):
             # repeated columns, where only a stable sort gives the reference
             tied += np.unique(c1.G, axis=1).shape[1] < c1.n
     assert matched and tied
+
+
+def _random_points(rng, q, m, k):
+    """k exponent vectors of length m, distinct mod q-1, with negative
+    entries and entries beyond q."""
+    while True:
+        pts = [tuple(rng.randint(-2 * q, 2 * q) for _ in range(m)) for _ in range(k)]
+        if len({tuple(a % (q - 1) for a in p) for p in pts}) == k:
+            return pts
+
+
+def _related_points(rng, q, pts):
+    """pts with a random unimodular change of torus coordinates, random
+    multiples of q-1 added, and, one time in three, two rows swapped:
+    the first two keep the column multiset, the swap in general does not."""
+    m = len(pts[0])
+    A = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        if i == j:
+            A[i] = [-a for a in A[i]]
+        else:
+            c = rng.randint(-2, 2)
+            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    out = [
+        tuple(
+            sum(p[l] * A[l][j] for l in range(m)) + (q - 1) * rng.randint(-1, 1)
+            for j in range(m)
+        )
+        for p in pts
+    ]
+    if rng.random() < 1 / 3:
+        i, j = rng.sample(range(len(out)), 2)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13])
+def test_column_key_decides_equal_column_multisets(q):
+    rng, field = random.Random(q), make_field(q)
+    pairs = equal = 0
+    for m, k in product((1, 2, 3), range(2, 6)):
+        if k > (q - 1) ** m:
+            continue
+        codes = []
+        for _ in range(4):
+            pts = _random_points(rng, q, m, k)
+            codes.append(build_code(field, LatticePolytope(tuple(pts))))
+            for _ in range(2):
+                codes.append(build_code(field, LatticePolytope(tuple(_related_points(rng, q, pts)))))
+        cols = [sorted(map(tuple, c.G.T.tolist())) for c in codes]
+        for (c1, s1), (c2, s2) in combinations(zip(codes, cols), 2):
+            pairs += 1
+            equal += s1 == s2
+            assert (c1._column_key == c2._column_key) == (s1 == s2), (
+                c1.polytope.points, c2.polytope.points)
+    assert 0 < equal < pairs
 
 
 def test_column_tuples_is_a_read_only_view_of_g():
@@ -85,9 +143,26 @@ def sorts(monkeypatch):
 
 
 def test_census_sorts_each_code_once(sorts):
-    # GF(7) width 1: 18 entries, 153 pairs, all witnessed
+    # GF(7) width 1: 18 entries, 153 pairs, all witnessed; only the 5
+    # entries whose column key another entry shares are ever sorted
     entries = census(make_field(7), 5)
-    assert len(sorts) == len(entries) == 18
+    keys = Counter(e.code._column_key for e in entries)
+    shared = [e for e in entries if keys[e.code._column_key] > 1]
+    assert len(entries) == 18
+    assert len(sorts) == len(shared) == 5
+
+
+def test_witness_on_unmatched_codes_sorts_and_reads_nothing(sorts, monkeypatch):
+    read = []
+    column_tuples = ToricCode.column_tuples
+    monkeypatch.setattr(
+        ToricCode, "column_tuples", lambda self: read.append(self) or column_tuples(self)
+    )
+    field = make_field(7)
+    c1, c2 = (build_code(field, empty_tetrahedron(1, t)) for t in (2, 3))
+    assert witness_equivalence(c1, c2).evidence_kind == "INVARIANT"
+    assert sorts == [] and read == []
+    assert "_column_order" not in vars(c1) and "_column_order" not in vars(c2)
 
 
 def test_witness_sorts_fresh_codes_once_each(sorts):

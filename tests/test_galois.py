@@ -4,7 +4,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from toric3.errors import DivisionByZero, NotPrimePower, UnsupportedOrder, ZeroArgument
+from toric3.errors import (
+    DivisionByZero,
+    InvalidParams,
+    NotPrimePower,
+    UnsupportedOrder,
+    ZeroArgument,
+)
 from toric3.galois import FieldSpec, make_field, power_image, solve_power
 
 SUPPORTED = [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
@@ -123,6 +129,14 @@ def test_solve_power_examples():
 def test_solve_power_zero_raises():
     with pytest.raises(ZeroArgument):
         solve_power(make_field(7), 2, 0)
+
+
+def test_exponent_below_one_is_invalid_params():
+    f = make_field(7)
+    with pytest.raises(InvalidParams, match="t must be"):
+        solve_power(f, 0, 2)
+    with pytest.raises(InvalidParams, match="t must be"):
+        power_image(f, 0)
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9])

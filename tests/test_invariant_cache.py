@@ -103,6 +103,7 @@ def test_witness_checks_its_permutation():
     # the sorted columns match, the matrices do not
     c2.column_tuples = c1.column_tuples
     c2._column_order = c1._column_order
+    c2._column_key = c1._column_key
     with pytest.raises(InternalCheckFailed, match="perm"):
         witness_equivalence(c1, c2)
 
@@ -111,6 +112,7 @@ def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
     monkeypatch.setattr(
         ToricCode, "column_tuples", lambda self: np.zeros((self.n, self.k), dtype=np.int64)
     )
+    monkeypatch.setattr(ToricCode, "_column_key", ())
     argv = ["equiv", "--q", "5", "--a", "T(1,1)", "--b", "T(1,2)", "--method", "witness"]
     assert main(argv) == 1
     assert "G1[:, perm] != G2" in capsys.readouterr().err

@@ -99,7 +99,9 @@ def orbit_of_zero(gens, r, n1):
 
 def check_orbit_box(r, n1, gens):
     rows = [[g[i] for g in gens] for i in range(r)]  # generators are columns
-    box = _orbit_box(rows, n1)
+    pivots = _orbit_box(rows, n1)
+    assert all(not any(b[:i]) for i, b in enumerate(pivots))  # triangular
+    box = [abs(b[i]) for i, b in enumerate(pivots)]
     orbit = orbit_of_zero(gens, r, n1)
     assert prod(box) * len(orbit) == n1**r, (n1, gens)
     cosets = {

@@ -1,10 +1,16 @@
 """Rules that every module of the package keeps."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
 
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "toric3").glob("*.py"))
 
 
@@ -26,3 +32,18 @@ def test_no_assert(path):
         or (isinstance(node, ast.Attribute) and node.attr == "AssertionError")
     ]
     assert not bad, f"{path.name}: assert or AssertionError at lines {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_builtin_exception_raised(path):
+    """Errors raise a Toric3Error subclass, never a builtin exception
+    class such as ValueError: the CLI turns only Toric3Error into an
+    exit code, anything else into a traceback."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                bad.append((node.lineno, exc.id))
+    assert not bad, f"{path.name}: builtin exception raised at {bad}"
