@@ -12,7 +12,9 @@ Two routes are kept deliberately independent and cross-checked:
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
-a differing invariant upgrades it to INEQUIVALENT.
+a differing invariant upgrades it to INEQUIVALENT.  The census checks
+one witness per code, against the first code with its column key; only
+the theorem check runs on every pair.
 """
 
 from __future__ import annotations
@@ -317,11 +319,14 @@ def _census_entries(field: FieldSpec, dim: int):
 
 
 def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
-    """Set each entry's class_id by witness test, cross-checking each
-    applicable theorem verdict; a disagreement raises
-    TheoremWitnessMismatch."""
-    # union-find over pairwise witness verdicts
-    parent = list(range(len(entries)))
+    """Set each entry's class_id by union-find, seeded with each entry's
+    parent the first entry with its column key (one checked witness
+    each); a theorem EQUIVALENT joins two classes."""
+    first: dict = {}
+    parent = [first.setdefault(e.code._column_key, i) for i, e in enumerate(entries)]
+    for i, r in enumerate(parent):
+        if r != i:
+            witness_equivalence(entries[r].code, entries[i].code)
 
     def find(i):
         while parent[i] != i:
@@ -329,43 +334,34 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
             i = parent[i]
         return i
 
+    def mismatch(a, b, said):
+        names = f"{a.polytope.describe()} vs {b.polytope.describe()}"
+        return TheoremWitnessMismatch(f"q={q}: {names}: {said}; d_brute={a.d_brute},{b.d_brute}")
+
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
-            wit = witness_equivalence(a.code, b.code)
             thm = theorem_verdict(q, a.polytope, b.polytope)
-            # A theorem EQUIVALENT with an INCONCLUSIVE witness is not a
-            # contradiction: the lattice-orbit equivalences can need a
-            # nontrivial diagonal, which the identity-diagonal witness
-            # cannot produce.  Contradictions are: theorem EQUIVALENT
-            # against a separating invariant, theorem INEQUIVALENT against
-            # an explicit permutation witness, and equivalent codes whose
-            # weight enumerators (so also distances) differ.
-            merged = EQUIVALENT in (thm.status, wit.status)
-            if {thm.status, wit.status} == {EQUIVALENT, INEQUIVALENT} or (
-                merged and a.code.weight_enumerator() != b.code.weight_enumerator()
-            ):
-                raise TheoremWitnessMismatch(
-                    f"q={q}: {a.polytope.describe()} vs {b.polytope.describe()}: "
-                    f"theorem says {thm.status} ({thm.detail}), witness says "
-                    f"{wit.status}; d_brute={a.d_brute},{b.d_brute}"
-                )
-            if merged:
+            if thm.status == INEQUIVALENT and a.code._column_key == b.code._column_key:
+                raise mismatch(a, b, f"theorem says {thm.status} ({thm.detail}), "
+                               f"witness says {EQUIVALENT}")
+            if thm.status == EQUIVALENT:
                 parent[find(i)] = find(j)
 
     roots: dict[int, int] = {}
     for i, e in enumerate(entries):
         r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        e.class_id = roots[r]
+        if e.code.weight_enumerator() != entries[r].code.weight_enumerator():
+            raise mismatch(e, entries[r], "joined, yet their weight enumerators differ")
+        e.class_id = roots.setdefault(r, len(roots))
     return entries
 
 
 def census(field: FieldSpec, dim: int):
     """Group every in-scope parameter tuple into monomial-equivalence
-    classes by witness test, cross-checking each applicable theorem
-    verdict along the way.  A disagreement raises TheoremWitnessMismatch
-    with full reproduction data.
+    classes: codes with equal column keys by one checked witness each,
+    any pair by a theorem EQUIVALENT verdict.  A theorem INEQUIVALENT
+    between equal keys, or a class whose weight enumerators differ,
+    raises TheoremWitnessMismatch with reproduction data.
     """
     return _group_classes(field.q, _census_entries(field, dim))

@@ -112,6 +112,8 @@ class ToricCode:
         u = list(u)
         if len(u) != self.k:
             raise ShapeMismatch(f"coefficient vector must have length {self.k}")
+        if not all(isinstance(c, (int, np.integer)) and 0 <= c < self.field.q for c in u):
+            raise InvalidParams(f"coefficients must be integers in range({self.field.q}); got {u}")
         return self._words(np.array([u], dtype=np.int64))[0]
 
     def _words(self, block) -> np.ndarray:

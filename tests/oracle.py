@@ -1,9 +1,12 @@
-"""Independent reference for the enumeration kernel, kept for tests only."""
+"""Independent references for the enumeration kernel and the census
+grouping, kept for tests only."""
 
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
+
+from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
 
 
 def projective_reference(code):
@@ -21,3 +24,26 @@ def projective_reference(code):
         for w, c in Counter((code.n - zeros).tolist()).items():
             counts[w] += c * (q - 1)
     return mz, min(w for w in counts if w), dict(counts)
+
+
+def all_pairs_classes(q, entries):
+    """Class ids of census entries by the all-pairs loop the keyed census
+    replaced: union-find over every pair that the witness or the theorem
+    calls EQUIVALENT, classes numbered in order of their first entry."""
+    parent = list(range(len(entries)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(entries)), 2):
+        a, b = entries[i], entries[j]
+        verdicts = (
+            witness_equivalence(a.code, b.code),
+            theorem_verdict(q, a.polytope, b.polytope),
+        )
+        if any(v.status == EQUIVALENT for v in verdicts):
+            parent[find(i)] = find(j)
+    roots = {}
+    return [roots.setdefault(find(i), len(roots)) for i in range(len(entries))]

@@ -161,6 +161,24 @@ def test_encode_shape_mismatch():
         code.encode([1, 0])
 
 
+@pytest.mark.parametrize(
+    "u", [[-1, 0, 0, 0], [5, 0, 0, 0], [1.5, 0, 0, 0], [1.0, 0, 0, 0], ["1", 0, 0, 0]]
+)
+def test_encode_rejects_coefficients_outside_the_field(u):
+    # GF(5): -1 used to wrap to 4, 5 raised a bare IndexError, 1.5 truncated to 1
+    code = build_code(make_field(5), empty_tetrahedron(1, 1))
+    with pytest.raises(InvalidParams):
+        code.encode(u)
+    with pytest.raises(InvalidParams):
+        code.count_zeros(u)
+
+
+def test_encode_takes_numpy_coefficients():
+    code = build_code(make_field(5), empty_tetrahedron(1, 1))
+    u = np.array([4, 0, 1, 0])
+    assert code.encode(u).tolist() == code.encode([4, 0, 1, 0]).tolist()
+
+
 def test_distance_result_validation():
     with pytest.raises(ValueError):
         DistanceResult(5, 4, "brute")

@@ -143,8 +143,9 @@ def sorts(monkeypatch):
 
 
 def test_census_sorts_each_code_once(sorts):
-    # GF(7) width 1: 18 entries, 153 pairs, all witnessed; only the 5
-    # entries whose column key another entry shares are ever sorted
+    # GF(7) width 1: 18 entries, 3 witnessed against the first entry with
+    # their key; only the 5 entries whose column key another entry shares
+    # are ever sorted
     entries = census(make_field(7), 5)
     keys = Counter(e.code._column_key for e in entries)
     shared = [e for e in entries if keys[e.code._column_key] > 1]
