@@ -15,8 +15,14 @@ translation by the lattice L_S spanned by the columns of the
 homogenized exponent matrix H_S (one row (1, p) per point p of S) and
 by (q-1)Z^|S|.  The orbits are the cosets of L_S, so one codeword per
 coset, weighted by the coset size, gives the exact weight enumerator
-and distance; this is exact, not a heuristic.  All inner loops are
-numpy table lookups batched over coefficient blocks.
+and distance; this is exact, not a heuristic.  The representatives of
+all supports run through one stream of coefficient blocks, so a small
+code is evaluated in a single block.
+
+G and the codewords are uint8, one byte per field element.  A codeword
+is a sum of k terms, each a mul-table row gathered at G's row; the sum
+is XOR in characteristic 2, a byte add reduced mod p in a prime field
+and an add-table gather otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from .errors import (
 from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
-# bytes of int64 codewords evaluated per numpy block
+# bounds a codeword block to _WORD_BYTES // (8 n) rows: its uint8 words take
+# an eighth of the budget, the term and gather index of one addition a half
 _WORD_BYTES = 1 << 25
 
 
@@ -69,8 +76,8 @@ class DistanceResult:
 
 
 def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
-    """k x (q-1)^m matrix of monomial evaluations on (F_q*)^m, m the
-    common length of the exponent vectors; rows follow their order."""
+    """k x (q-1)^m uint8 matrix of monomial evaluations on (F_q*)^m, m
+    the common length of the exponent vectors; rows follow their order."""
     n1 = field.q - 1
     if len({len(e) for e in exponent_vectors}) != 1:
         raise ShapeMismatch("exponent vectors must be nonempty and of one length")
@@ -81,7 +88,7 @@ def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
             "the polytope does not fit GF(%d)" % field.q
         )
     logs = _torus_logs(n1, len(reduced[0]))
-    return field.exp_table[np.array(reduced, dtype=np.int64) @ logs % n1]
+    return field.exp_u8[np.array(reduced, dtype=np.int64) @ logs % n1]
 
 
 def _torus_logs(n1: int, m: int) -> np.ndarray:
@@ -107,51 +114,89 @@ class ToricCode:
         points = self.field.exp_table[_torus_logs(self.field.q - 1, self.m)]
         return list(map(tuple, points.T.tolist()))
 
-    def encode(self, u) -> np.ndarray:
-        """Codeword uG as a length-n vector of field values."""
+    def _coefficients(self, u) -> np.ndarray:
+        """u as a (1, k) block, after checking its length and entries."""
         u = list(u)
         if len(u) != self.k:
             raise ShapeMismatch(f"coefficient vector must have length {self.k}")
         if not all(isinstance(c, (int, np.integer)) and 0 <= c < self.field.q for c in u):
             raise InvalidParams(f"coefficients must be integers in range({self.field.q}); got {u}")
-        return self._words(np.array([u], dtype=np.int64))[0]
+        return np.array([u], dtype=np.int64)
+
+    def encode(self, u) -> np.ndarray:
+        """Codeword uG as a length-n uint8 vector of field values."""
+        return self._words(self._coefficients(u))[0]
 
     def _words(self, block) -> np.ndarray:
-        """Codewords uG, one row per row u of a (b, k) coefficient block."""
+        """uint8 codewords uG, one row per row u of a (b, k) coefficient
+        block with entries in range(q)."""
         f = self.field
-        words = np.zeros((len(block), self.n), dtype=np.int64)
-        for r in range(self.k):
-            words = f.add_table[words, f.mul_table[block[:, r]][:, self.G[r]]]
+        words = f.mul_u8[block[:, 0]][:, self.G[0]]
+        for r in range(1, self.k):
+            term = f.mul_u8[block[:, r]][:, self.G[r]]
+            if f.p == 2:
+                np.bitwise_xor(words, term, out=words)
+            elif f.m == 1:
+                # the sum s <= 2p - 2 fits a byte; s - p wraps past s when
+                # s < p <= 61, so the minimum of the two is s mod p
+                words += term
+                np.minimum(words, words - np.uint8(f.p), out=words)
+            else:
+                # a + b is entry a*q + b < 4096 of the flattened add table
+                index = np.multiply(words, f.q, dtype=np.uint16)
+                index += term
+                words = f.add_u8.reshape(-1)[index]
         return words
 
     def count_zeros(self, u) -> int:
         """Number of torus points at which the polynomial with
         coefficients u vanishes."""
-        if all(c == 0 for c in u):
+        block = self._coefficients(u)
+        if not block.any():
             raise ZeroPolynomial("the zero polynomial vanishes everywhere")
-        return int(np.count_nonzero(self.encode(u) == 0))
+        return int(np.count_nonzero(self._words(block) == 0))
 
     def _zero_weight_per_class(self):
         """Yield (zeros, weights, classes) arrays, one entry per torus
         orbit: its zero count, its weight and its number of projective
-        classes."""
+        classes.
+
+        The orbit representatives of every support, in support order,
+        fill one coefficient block after another, so a block spans
+        supports and a small code is evaluated in one block.
+        """
         k, n1 = self.k, self.field.q - 1
         hom = [(1, *p) for p in self.polytope.points]
         rows = max(1, _WORD_BYTES // (8 * self.n))
+        block = np.zeros((rows, k), dtype=np.uint8)
+        classes = np.zeros(rows, dtype=np.int64)
+        used = 0
         for mask in range(1, 2**k):
             support = [i for i in range(k) if mask >> i & 1]
             pivots = _orbit_box([hom[i] for i in support], n1)
             box = tuple(abs(b[i]) for i, b in enumerate(pivots))
             orbits = prod(box)
-            classes = n1 ** (len(support) - 1) // orbits
-            for lo in range(0, orbits, rows):
-                flat = np.arange(lo, min(lo + rows, orbits))
-                block = np.zeros((len(flat), k), dtype=np.int64)
-                block[:, support] = self.field.exp_table[
-                    np.stack(np.unravel_index(flat, box), axis=1)
+            lo = 0
+            while lo < orbits:
+                hi = min(lo + rows - used, orbits)
+                part = slice(used, used + hi - lo)
+                block[part] = 0
+                block[part, support] = self.field.exp_u8[
+                    np.stack(np.unravel_index(np.arange(lo, hi), box), axis=1)
                 ]
-                zeros = np.count_nonzero(self._words(block) == 0, axis=1)
-                yield zeros, self.n - zeros, np.full(len(flat), classes)
+                classes[part] = n1 ** (len(support) - 1) // orbits
+                used, lo = part.stop, hi
+                if used == rows:
+                    yield self._zeros_and_weights(block, classes)
+                    used = 0
+        if used:
+            yield self._zeros_and_weights(block[:used], classes[:used])
+
+    def _zeros_and_weights(self, block, classes):
+        """(zeros, weights, classes) of a block; classes is copied, since
+        the caller refills its buffer."""
+        zeros = np.count_nonzero(self._words(block) == 0, axis=1)
+        return zeros, self.n - zeros, classes.copy()
 
     @cached_property
     def _invariants(self) -> tuple[int, int, dict[int, int]]:
@@ -162,12 +207,17 @@ class ToricCode:
         """
         q = self.field.q
         mz, mw = 0, self.n
-        counts: dict[int, int] = {0: 1}
+        per_weight = np.zeros(self.n + 1, dtype=np.int64)
+        # weights in order of first appearance, the enumerator's key order
+        seen = {0: None}
         for zeros, weights, classes in self._zero_weight_per_class():
             mz = max(mz, int(zeros.max()))
             mw = min(mw, int(weights.min()))
-            for w, c in zip(weights.tolist(), classes.tolist()):
-                counts[w] = counts.get(w, 0) + c * (q - 1)
+            np.add.at(per_weight, weights, classes)
+            distinct, first = np.unique(weights, return_index=True)
+            seen.update(dict.fromkeys(distinct[np.argsort(first)].tolist()))
+        counts = {w: int(per_weight[w]) * (q - 1) for w in seen}
+        counts[0] += 1  # the zero codeword
         if self.n - mz != mw:
             raise InternalCheckFailed(
                 f"distance cross-check failed: n - maxZ = {self.n - mz}, "

@@ -81,6 +81,16 @@ class TestCountZeros:
         with pytest.raises(ZeroPolynomial):
             code.count_zeros([0, 0, 0, 0])
 
+    def test_iterator_coefficients(self):
+        # the zero test must not consume the iterator before encoding
+        code = build_code(make_field(5), empty_tetrahedron(1, 1))
+        assert code.count_zeros(iter([1, 1, 0, 0])) == code.count_zeros([1, 1, 0, 0]) == 16
+
+    def test_non_integer_zero_vector_is_invalid(self):
+        code = build_code(make_field(5), empty_tetrahedron(1, 1))
+        with pytest.raises(InvalidParams):
+            code.count_zeros([0, 0, 0, 0.0])
+
     def test_scaling_invariance(self):
         f = make_field(7)
         code = build_code(f, empty_tetrahedron(1, 3))

@@ -196,3 +196,35 @@ def test_codewords_equal_pointwise_evaluation(q, spec):
             expected.append(v)
         assert word.tolist() == expected
         assert code.encode(u).tolist() == expected
+
+
+# every prime power 3 <= q <= 64
+ALL_ORDERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47,
+              49, 53, 59, 61, 64]
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_every_field_sums_codewords_like_its_scalar_arithmetic(q):
+    # 1-D torus, n = q-1: XOR for p = 2, add-and-reduce for m = 1,
+    # the add-table gather for q = 9, 25, 27, 49
+    field = make_field(q)
+    points = tuple((a,) for a in range(min(4, q - 1)))
+    code = build_code(field, LatticePolytope(points))
+    block = np.random.default_rng(q).integers(0, q, size=(16, code.k))
+    words = code._words(block)
+    assert words.dtype == np.uint8
+    xs = code.columns()
+    for u, word in zip(block.tolist(), words.tolist()):
+        expected = []
+        for (x,) in xs:
+            v = 0
+            for c, (a,) in zip(u, points):
+                v = field.add(v, field.mul(c, field.pow(x, a)))
+            expected.append(v)
+        assert word == expected, u
+    # every sum a + b*x: all q^2 coefficient pairs against the int64 tables
+    two = build_code(field, LatticePolytope(((0,), (1,))))
+    pairs = np.array(list(product(range(q), repeat=2)))
+    x = field.exp_table
+    expected = field.add_table[pairs[:, :1], field.mul_table[pairs[:, 1:], x]]
+    assert np.array_equal(two._words(pairs), expected)

@@ -244,3 +244,13 @@ def test_shared_tables_are_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         getattr(make_field(7), name)[1] = 5
     assert make_field(7).units() == units
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_kernel_byte_tables_copy_the_int64_tables(q):
+    f = make_field(q)
+    for name in ("exp", "add", "mul"):
+        small, wide = getattr(f, name + "_u8"), getattr(f, name + "_table")
+        assert small.dtype == np.uint8 and small.nbytes <= 4096
+        assert np.array_equal(small, wide)
+        assert not small.flags.writeable

@@ -12,7 +12,7 @@ from toric3.cli import main
 from toric3.codes import ToricCode, build_code
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
-from toric3.polytopes import empty_tetrahedron
+from toric3.polytopes import empty_tetrahedron, parse_polytope_spec
 
 
 @pytest.fixture
@@ -74,6 +74,12 @@ def test_weight_enumerator_returns_a_new_dict():
     enum[0] = 7
     enum.clear()
     assert code.weight_enumerator() == expected
+
+
+def test_enumerator_keys_keep_the_order_weights_are_first_met():
+    # `equiv` prints a separating enumerator in this order
+    code = build_code(make_field(7), parse_polytope_spec("P21(0,1)"))
+    assert list(code.weight_enumerator()) == [0, 216, 180, 186, 144, 192, 185, 184]
 
 
 def test_kernel_distance_cross_check():

@@ -8,8 +8,10 @@ from itertools import product
 from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from toric3 import codes
 from toric3.classify import _census_entries
 from toric3.cli import main
 from toric3.codes import _orbit_box, build_code
@@ -58,6 +60,15 @@ LOW_DIM = [planar(i) for i in range(1, 5)] + [
 def test_low_dimensional_tori_match_the_projective_loop(q, poly):
     code = build_code(make_field(q), poly)
     assert code.n == (q - 1) ** code.m
+    assert kernel(code) == projective_reference(code)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_blocks_split_across_supports_match_the_projective_loop(monkeypatch, rows):
+    code = build_code(make_field(7), parse_polytope_spec("P32(1,1)"))
+    monkeypatch.setattr(codes, "_WORD_BYTES", 8 * code.n * rows)
+    sizes = [len(z) for z, _, _ in code._zero_weight_per_class()]
+    assert set(sizes[:-1]) <= {rows} and 0 < sizes[-1] <= rows
     assert kernel(code) == projective_reference(code)
 
 
@@ -139,6 +150,16 @@ def test_dim5_at_q19():
     assert (f.lower, f.upper) == (5505, 5506)
     assert f.lower <= code.min_distance_brute().value <= f.upper
     assert sum(code.weight_enumerator().values()) == 19**5
+
+
+def test_dim5_at_q64():
+    # the top of the range: k = 5, n = 63^3, G one byte per entry
+    code = build_code(make_field(64), parse_polytope_spec("P32(1,1)"))
+    assert code.G.dtype == np.uint8 and not code.G.flags.writeable
+    assert code.G.nbytes == code.k * code.n
+    f = dim5_distance((3, 2), 64, 1, 1)
+    assert f.lower <= code.min_distance_brute().value == 246075 <= f.upper
+    assert sum(code.weight_enumerator().values()) == 64**5
 
 
 def test_verify_up_to_q13(capsys):
