@@ -214,8 +214,7 @@ class ToricCode:
             mz = max(mz, int(zeros.max()))
             mw = min(mw, int(weights.min()))
             np.add.at(per_weight, weights, classes)
-            distinct, first = np.unique(weights, return_index=True)
-            seen.update(dict.fromkeys(distinct[np.argsort(first)].tolist()))
+            seen.update(dict.fromkeys(weights.tolist()))
         counts = {w: int(per_weight[w]) * (q - 1) for w in seen}
         counts[0] += 1  # the zero codeword
         if self.n - mz != mw:
