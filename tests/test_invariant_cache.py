@@ -82,6 +82,15 @@ def test_enumerator_keys_keep_the_order_weights_are_first_met():
     assert list(code.weight_enumerator()) == [0, 216, 180, 186, 144, 192, 185, 184]
 
 
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_kernel_yields_integers_only(q):
+    # one arithmetic branch each: add mod p, XOR, add-table gather
+    code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
+    for arrays in code._zero_weight_per_class():
+        assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
+    assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
+
+
 def test_kernel_distance_cross_check():
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     # n - maxZ = n - 3, but the least weight is n - 2
