@@ -12,9 +12,9 @@ Two routes are kept deliberately independent and cross-checked:
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
-a differing invariant upgrades it to INEQUIVALENT.  The census checks
-one witness per code, against the first code with its column key; only
-the theorem check runs on every pair.
+a differing invariant upgrades it to INEQUIVALENT.  The census checks each
+code by one witness against the first code with its column key as it builds
+it, and keeps only the first: one kernel pass per key, theorems on every pair.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         perm = np.empty(c1.n, dtype=np.int64)
         perm[c2._column_order] = c1._column_order
         if not np.array_equal(c1.G[:, perm], c2.G):
-            raise InternalCheckFailed("column multisets match, yet G1[:, perm] != G2")
+            names = f"q={c1.field.q}: {c1.polytope.describe()} vs {c2.polytope.describe()}"
+            raise InternalCheckFailed(f"{names}: column multisets match, yet G1[:, perm] != G2")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
     d1 = c1.min_distance_brute().value
     d2 = c2.min_distance_brute().value
@@ -248,7 +249,7 @@ class CensusEntry:
     s: int
     t: int
     polytope: LatticePolytope
-    code: ToricCode = None
+    code: ToricCode = None  # first code with this column key; its kernel pass gives d_brute
     d_brute: int = 0
     formula: object = None
     class_id: int = -1
@@ -298,16 +299,9 @@ def dim5_parameter_sweep(q: int):
     return out
 
 
-def _build_entry(field: FieldSpec, family: str, s: int, t: int) -> CensusEntry:
-    poly = FAMILIES[family].make(s, t)
-    formula = distance_formula(poly, field.q)
-    code = build_code(field, poly)
-    d_brute = code.min_distance_brute().value
-    return CensusEntry(family, s, t, poly, code=code, d_brute=d_brute, formula=formula)
-
-
 def _census_entries(field: FieldSpec, dim: int):
-    """One entry per in-scope parameter tuple, its kernel pass already run."""
+    """One entry per in-scope parameter tuple; a code with an earlier code's
+    column key is checked to be its column permutation, then dropped for it."""
     q = field.q
     if dim == 4:
         tuples = [(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(q)]
@@ -315,18 +309,23 @@ def _census_entries(field: FieldSpec, dim: int):
         tuples = dim5_parameter_sweep(q)
     else:
         raise InvalidParams(f"dim must be 4 or 5; got {dim}")
-    return [_build_entry(field, *ft) for ft in tuples]
+    first, entries = {}, []
+    for family, s, t in tuples:
+        poly = FAMILIES[family].make(s, t)
+        code = build_code(field, poly)
+        if (kept := first.setdefault(code._column_key, code)) is not code:
+            witness_equivalence(kept, code)
+        d_brute = kept.min_distance_brute().value
+        entries.append(CensusEntry(family, s, t, poly, kept, d_brute, distance_formula(poly, q)))
+    return entries
 
 
 def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     """Set each entry's class_id by union-find, seeded with each entry's
-    parent the first entry with its column key (one checked witness
-    each); a theorem EQUIVALENT joins two classes."""
+    parent the first entry with its code (entries share a code once its
+    witness is checked); a theorem EQUIVALENT joins two classes."""
     first: dict = {}
-    parent = [first.setdefault(e.code._column_key, i) for i, e in enumerate(entries)]
-    for i, r in enumerate(parent):
-        if r != i:
-            witness_equivalence(entries[r].code, entries[i].code)
+    parent = [first.setdefault(e.code, i) for i, e in enumerate(entries)]
 
     def find(i):
         while parent[i] != i:
@@ -342,7 +341,7 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
             thm = theorem_verdict(q, a.polytope, b.polytope)
-            if thm.status == INEQUIVALENT and a.code._column_key == b.code._column_key:
+            if thm.status == INEQUIVALENT and a.code is b.code:
                 raise mismatch(a, b, f"theorem says {thm.status} ({thm.detail}), "
                                f"witness says {EQUIVALENT}")
             if thm.status == EQUIVALENT:
@@ -359,9 +358,10 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
 
 def census(field: FieldSpec, dim: int):
     """Group every in-scope parameter tuple into monomial-equivalence
-    classes: codes with equal column keys by one checked witness each,
-    any pair by a theorem EQUIVALENT verdict.  A theorem INEQUIVALENT
-    between equal keys, or a class whose weight enumerators differ,
-    raises TheoremWitnessMismatch with reproduction data.
+    classes: a code with an earlier code's column key by one checked
+    witness as it is built, after which both entries share the first
+    code; any pair by a theorem EQUIVALENT verdict.  A theorem
+    INEQUIVALENT between entries sharing a code, or a class whose weight
+    enumerators differ, raises TheoremWitnessMismatch with reproduction data.
     """
     return _group_classes(field.q, _census_entries(field, dim))

@@ -7,6 +7,8 @@ from itertools import combinations, product
 import numpy as np
 
 from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
+from toric3.codes import build_code
+from toric3.galois import make_field
 
 
 def projective_reference(code):
@@ -29,7 +31,11 @@ def projective_reference(code):
 def all_pairs_classes(q, entries):
     """Class ids of census entries by the all-pairs loop the keyed census
     replaced: union-find over every pair that the witness or the theorem
-    calls EQUIVALENT, classes numbered in order of their first entry."""
+    calls EQUIVALENT, classes numbered in order of their first entry.
+    Each entry's own code is built from its polytope, since the census
+    keeps one code per column key."""
+    field = make_field(q)
+    codes = [build_code(field, e.polytope) for e in entries]
     parent = list(range(len(entries)))
 
     def find(i):
@@ -40,7 +46,7 @@ def all_pairs_classes(q, entries):
     for i, j in combinations(range(len(entries)), 2):
         a, b = entries[i], entries[j]
         verdicts = (
-            witness_equivalence(a.code, b.code),
+            witness_equivalence(codes[i], codes[j]),
             theorem_verdict(q, a.polytope, b.polytope),
         )
         if any(v.status == EQUIVALENT for v in verdicts):

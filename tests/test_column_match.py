@@ -30,7 +30,9 @@ def _reference_perm(c1, c2):
 
 @pytest.mark.parametrize("q, dim", [(7, 5), (9, 4)])
 def test_witness_permutation_equals_the_reference(q, dim):
-    codes = [e.code for e in _census_entries(make_field(q), dim)]
+    # each tuple's own code: the census keeps only one code per column key
+    field = make_field(q)
+    codes = [build_code(field, e.polytope) for e in _census_entries(field, dim)]
     matched = tied = 0
     for c1, c2 in combinations(codes, 2):
         wit = witness_equivalence(c1, c2)

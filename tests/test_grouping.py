@@ -1,8 +1,10 @@
 """Census grouping: one witness per code against the first code with its
-column key, theorem verdicts on every pair, each against the all-pairs
-reference."""
+column key, one code kept per key, theorem verdicts on every pair, each
+against the all-pairs reference."""
 
+import gc
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from toric3.classify import (
     _group_classes,
     census,
 )
+from toric3.codes import ToricCode
 from toric3.errors import TheoremWitnessMismatch
 from toric3.galois import make_field
 
@@ -56,6 +59,24 @@ def test_census_runs_one_witness_per_repeated_key(witnessed):
     entries = census(make_field(7), 5)
     assert len(entries) == 18
     assert len(witnessed) == 3
+
+
+def test_census_keeps_one_code_per_column_key(monkeypatch):
+    # GF(16) dim 4: 65 entries with 7 column keys; every later code with a
+    # key is dropped once its witness is checked
+    built = []
+    init = ToricCode.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ToricCode, "__init__", recorded)
+    entries = census(make_field(16), 4)
+    gc.collect()
+    assert len(entries) == len(built) == 65
+    assert sum(ref() is not None for ref in built) == 7
+    assert len({id(e.code) for e in entries}) == 7
 
 
 def _forced(monkeypatch, status):

@@ -7,39 +7,59 @@ import numpy as np
 import pytest
 
 from toric3 import classify
-from toric3.classify import INCONCLUSIVE, census, witness_equivalence
+from toric3.classify import (
+    INCONCLUSIVE,
+    census,
+    dim4_parameter_sweep,
+    dim5_parameter_sweep,
+    witness_equivalence,
+)
 from toric3.cli import main
 from toric3.codes import ToricCode, build_code
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
-from toric3.polytopes import empty_tetrahedron, parse_polytope_spec
+from toric3.polytopes import EMPTY_TETRA, FAMILIES, empty_tetrahedron, parse_polytope_spec
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Kernel passes counted per code id."""
+    """Kernel passes counted per code.  Keyed by the code itself, which
+    hashes by identity and stays alive here, since the id of a freed code
+    can be reused."""
     counts = Counter()
     kernel = ToricCode._zero_weight_per_class
 
     def counted(self):
-        counts[id(self)] += 1
+        counts[self] += 1
         return kernel(self)
 
     monkeypatch.setattr(ToricCode, "_zero_weight_per_class", counted)
     return counts
 
 
-def test_census_runs_one_pass_per_entry(passes):
+def test_census_runs_one_pass_per_column_key(passes):
+    # GF(7) width 1: 18 entries with 15 distinct column keys; an entry whose
+    # key an earlier entry has shares that entry's code and its pass
     entries = census(make_field(7), 5)
-    assert passes == Counter(id(e.code) for e in entries)
+    assert len(entries) == 18
+    assert passes == Counter(dict.fromkeys((e.code for e in entries), 1))
+    assert len(passes) == 15
 
 
 def test_verify_runs_one_pass_per_code(passes, capsys):
-    # GF(5): 5 dim-4 and 9 width-1 census entries, then 4 embedded polygons
-    # and their 4 planar codes for the product theorem
+    # GF(5): one pass per column key of the 5 dim-4 and 9 width-1 census
+    # tuples, then 4 embedded polygons and their 4 planar codes for the
+    # product theorem
+    field = make_field(5)
+    sweeps = ([(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(5)],
+              dim5_parameter_sweep(5))
+    keys = [len({build_code(field, FAMILIES[f].make(s, t))._column_key for f, s, t in sweep})
+            for sweep in sweeps]
+    assert keys == [2, 8]
     assert main(["verify", "--q", "5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert sum(passes.values()) == 22
+    assert set(passes.values()) == {1}
+    assert sum(passes.values()) == sum(keys) + 4 + 4 == 18
 
 
 def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypatch, capsys):
@@ -61,7 +81,7 @@ def test_witness_fallback_reads_the_cached_invariants(passes):
     field = make_field(7)
     c1, c2 = (build_code(field, empty_tetrahedron(s, 3)) for s in (1, 2))
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
-    assert passes == Counter({id(c1): 1, id(c2): 1})
+    assert passes == Counter({c1: 1, c2: 1})
     passes.clear()
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
     assert not passes
@@ -131,3 +151,13 @@ def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
     argv = ["equiv", "--q", "5", "--a", "T(1,1)", "--b", "T(1,2)", "--method", "witness"]
     assert main(argv) == 1
     assert "G1[:, perm] != G2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["census --q 5 --dim 4", "verify --q 5"])
+def test_a_failed_witness_in_the_census_names_both_codes(monkeypatch, capsys, command):
+    # one key for every code: the first dim-4 code whose columns differ
+    # from T(0,1)'s fails its witness while the census builds it
+    monkeypatch.setattr(ToricCode, "_column_key", ())
+    assert main(command.split()) == 1
+    err = capsys.readouterr().err
+    assert "q=5: T(0,1) vs T(1,2): column multisets match, yet G1[:, perm] != G2" in err

@@ -30,8 +30,12 @@ def kernel(code):
 
 @pytest.mark.parametrize("q,dim", [(5, 4), (7, 4), (8, 4), (9, 4), (5, 5), (7, 5)])
 def test_census_entries_match_the_projective_loop(q, dim):
-    for e in _census_entries(make_field(q), dim):
-        assert kernel(e.code) == projective_reference(e.code), e.polytope.describe()
+    # an entry inherits d_brute and the enumerator from the first code with
+    # its column key; each is checked against the tuple's own code
+    field = make_field(q)
+    for e in _census_entries(field, dim):
+        mz, d, enum = projective_reference(build_code(field, e.polytope))
+        assert (e.d_brute, kernel(e.code)) == (d, (mz, d, enum)), e.polytope.describe()
 
 
 SPECS = [f"W2:{i}" for i in range(1, 10)] + [f"E:{i}" for i in range(1, 5)] + [
