@@ -77,9 +77,17 @@ class DistanceResult:
 
 def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
     """k x (q-1)^m uint8 matrix of monomial evaluations on (F_q*)^m, m
-    the common length of the exponent vectors; rows follow their order."""
+    the common length of the exponent vectors; rows follow their order.
+
+    The log of a monomial at a torus point is a sum of per-axis logs
+    e_j * i_j mod q-1.  Those of the first m-1 axes are summed in uint16,
+    one axis at a time; row c of a small (q-1, q-1) table per monomial
+    holds the field values of the last axis shifted by c, so each block
+    of q-1 columns of G is one row of that table, gathered by the sum.
+    """
     n1 = field.q - 1
-    if len({len(e) for e in exponent_vectors}) != 1:
+    lengths = {len(e) for e in exponent_vectors}
+    if len(lengths) != 1 or 0 in lengths:
         raise ShapeMismatch("exponent vectors must be nonempty and of one length")
     reduced = [tuple(int(a) % n1 for a in e) for e in exponent_vectors]
     if len(set(reduced)) != len(reduced):
@@ -87,8 +95,20 @@ def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
             "two lattice points are congruent mod q-1 componentwise; "
             "the polytope does not fit GF(%d)" % field.q
         )
-    logs = _torus_logs(n1, len(reduced[0]))
-    return field.exp_u8[np.array(reduced, dtype=np.int64) @ logs % n1]
+    k, m = len(reduced), len(reduced[0])
+    units = np.arange(n1, dtype=np.uint16)
+    # steps[r, j, i] = e_rj * i mod q-1, the log of x_j^e_rj at alpha^i;
+    # the product is below 63^2, so it fits uint16
+    steps = np.array(reduced, dtype=np.uint16)[:, :, None] * units % n1
+    # head[r, c]: log of the product of the first m-1 factors at the c-th
+    # point of their torus, lexicographic
+    head = steps[:, 0] if m > 1 else np.zeros((k, 1), dtype=np.uint16)
+    for j in range(1, m - 1):
+        head = (head[:, :, None] + steps[:, j, None, :]).reshape(k, -1)
+        # a sum s < 2(q-1) wraps below zero past s when s < q-1
+        np.minimum(head, head - np.uint16(n1), out=head)
+    shifted = field.exp_u8[(units[:, None] + steps[:, m - 1, None, :]) % n1]
+    return shifted[np.arange(k)[:, None], head].reshape(k, -1)
 
 
 def _torus_logs(n1: int, m: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Independent references for the enumeration kernel and the census
-grouping, kept for tests only."""
+"""Independent references for the generator matrix, the enumeration
+kernel and the census grouping, kept for tests only."""
 
 from collections import Counter
 from itertools import combinations, product
@@ -7,8 +7,16 @@ from itertools import combinations, product
 import numpy as np
 
 from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
-from toric3.codes import build_code
+from toric3.codes import _torus_logs, build_code
 from toric3.galois import make_field
+
+
+def generator_matrix_reference(field, exponent_vectors):
+    """uint8 G as one int64 product of the exponents with the torus log
+    grid, reduced mod q-1: the build the per-axis log sums replaced."""
+    E = np.array(exponent_vectors, dtype=np.int64)
+    n1 = field.q - 1
+    return field.exp_u8[E @ _torus_logs(n1, E.shape[1]) % n1]
 
 
 def projective_reference(code):

@@ -1,7 +1,10 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from toric3.codes import DistanceResult, build_code
+from toric3.codes import DistanceResult, build_code, build_generator_matrix
 from toric3.errors import (
     ExponentCollision,
     InvalidParams,
@@ -17,7 +20,8 @@ from toric3.polytopes import (
     width1_representative,
 )
 
-from oracle import projective_reference
+from oracle import generator_matrix_reference, projective_reference
+from test_column_match import ALL_ORDERS
 
 
 def test_build_code_shape_and_ones_row():
@@ -46,10 +50,48 @@ def test_exponent_collision():
         build_code(make_field(3), poly)
 
 
-@pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 0, 1)), ((0, 0), (1, 0, 0)), ()])
+@pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 0, 1)), ((0, 0), (1, 0, 0)), (), ((),)])
 def test_exponent_vectors_of_unequal_length_or_none(points):
     with pytest.raises(ShapeMismatch):
         build_code(make_field(5), LatticePolytope(points))
+
+
+def _exponent_vectors(q, m, seed):
+    """Up to 6 exponent vectors of length m, distinct mod q-1.  With
+    (1, ..., 1) or (-1, ..., -1), the per-axis logs of two axes sum to
+    exactly q-1 and to 2(q-1)-2, the fold boundaries; the random ones
+    run from -3(q-1) to 3(q-1)."""
+    n1, rng = q - 1, random.Random(seed)
+    vectors = [(0,) * m, (1,) * m, (-1,) * m, (n1,) + (n1 - 1,) * (m - 1)]
+    vectors += [tuple(rng.randint(-3 * n1, 3 * n1) for _ in range(m)) for _ in range(6)]
+    kept = {}
+    for e in vectors:
+        kept.setdefault(tuple(a % n1 for a in e), e)
+    return list(kept.values())[:6]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_generator_matrix_matches_the_log_grid_product(q, m):
+    field = make_field(q)
+    vectors = _exponent_vectors(q, m, seed=q * 10 + m)
+    G = build_code(field, LatticePolytope(tuple(vectors))).G
+    assert G.dtype == np.uint8 and not G.flags.writeable
+    assert G.shape == (len(vectors), (q - 1) ** m)
+    assert np.array_equal(G, generator_matrix_reference(field, vectors))
+
+
+def test_generator_matrix_peak_memory():
+    # G is k n bytes; an int64 array of G's shape alone would be 8 k n
+    field = make_field(64)
+    points = empty_tetrahedron(1, 4).points
+    tracemalloc.start()
+    try:
+        G = build_generator_matrix(field, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * G.size
 
 
 def test_column_order_is_lex_in_log_indices():
