@@ -38,12 +38,11 @@ from .polytopes import (
     EMPTY_TETRA,
     FAMILIES,
     SIG21,
-    SIG22,
-    SIG31,
-    SIG32,
     WIDTH1_SIGNATURES,
     LatticePolytope,
+    parameter_sweep,
     white_canonical,
+    width1_tag,
 )
 
 EQUIVALENT = "EQUIVALENT"
@@ -152,9 +151,9 @@ def dim4_theorem_verdict(
     parameters differ no combined criterion is stated; the caller falls
     back to the witness test.
     """
-    for s, t in ((s1, t1), (s2, t2)):
-        if t < 1 or gcd(s, t) != 1:
-            raise InvalidParams(f"invalid tetrahedron parameters ({s},{t})")
+    tetra = FAMILIES[EMPTY_TETRA]
+    tetra.check(s1, t1)
+    tetra.check(s2, t2)
     if t1 == t2:
         t = t1
         g = gcd(t, q - 1)
@@ -195,11 +194,12 @@ def dim5_theorem_verdict(
     {e1, -e1} and so need no diagonal: p -> (p1 + k*p2, p2, p3) with
     k*t = sb - sa for the residue, p -> (-p1 + k*p2, p2, p3) with
     k*t = sa + sb for the reflection.  The "only if" half rests on the
-    paper's stated theorem and is not checked in this library.
+    paper's stated theorem and is not checked in this library.  A
+    signature or parameter pair that names no polytope raises
+    InvalidParams.
     """
-    for sig in (sig_a, sig_b):
-        if sig not in ((2, 1), (2, 2), (3, 1), (3, 2)):
-            raise InvalidParams(f"unknown width-1 signature {sig}")
+    width1_tag(sig_a, *params_a)
+    width1_tag(sig_b, *params_b)
     if sig_a != sig_b:
         return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "distinct-signature")
     if sig_a in ((2, 2), (3, 1)):
@@ -271,46 +271,12 @@ class CensusEntry:
         }
 
 
-def dim4_parameter_sweep(q: int):
-    """All (s, t) with 1 <= t <= q-2, gcd(s,t)=1, 0 <= s < t, plus (1,1)."""
-    out = []
-    for t in range(1, q - 1):
-        for s in range(t):
-            if gcd(s, t) == 1:
-                out.append((s, t))
-        if t == 1:
-            out.append((1, 1))
-    return out
-
-
-def dim5_parameter_sweep(q: int):
-    """Width-1 tuples fitting [-(q-2), q-2] exponents with t <= q-2."""
-    out = []
-    for t in range(1, q - 1):
-        for s in range(t + 1):
-            if 2 * s <= t and gcd(s, t) == 1:
-                out.append((SIG21, s, t))
-    out.append((SIG22, 0, 0))
-    out.append((SIG31, 0, 0))
-    for t in range(1, q - 1):
-        for s in range(1, t + 1):
-            if gcd(s, t) == 1:
-                out.append((SIG32, s, t))
-    return out
-
-
 def _census_entries(field: FieldSpec, dim: int):
     """One entry per in-scope parameter tuple; a code with an earlier code's
     column key is checked to be its column permutation, then dropped for it."""
     q = field.q
-    if dim == 4:
-        tuples = [(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(q)]
-    elif dim == 5:
-        tuples = dim5_parameter_sweep(q)
-    else:
-        raise InvalidParams(f"dim must be 4 or 5; got {dim}")
     first, entries = {}, []
-    for family, s, t in tuples:
+    for family, s, t in parameter_sweep(q, dim):
         poly = FAMILIES[family].make(s, t)
         code = build_code(field, poly)
         if (kept := first.setdefault(code._column_key, code)) is not code:

@@ -72,7 +72,7 @@ def cmd_equiv(args) -> int:
             or classify.INCONCLUSIVE in (ts, ws)
         )
     print(json.dumps(out, indent=2))
-    return 0
+    return 0 if out.get("agreement", True) else 1
 
 
 def cmd_census(args) -> int:

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from .codes import DistanceResult
 from .errors import InvalidField, InvalidParams, NoFormulaForFamily, OutOfRange
 from .galois import _factor_prime_power
-from .polytopes import EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope
+from .polytopes import EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, width1_tag
 
 
 def _check_q(q: int, minimum: int = 3) -> None:
@@ -79,9 +79,8 @@ def dim5_distance(sig: tuple[int, int], q: int, s: int = 0, t: int = 0) -> Dista
     """Distance (or bound interval) for the width-1 five-point codes."""
     _check_q(q, 5)
     n = (q - 1) ** 3
+    width1_tag(sig, s, t)
     if sig == (2, 1):
-        if t < 1 or gcd(s, t) != 1 or not 0 <= 2 * s <= t:
-            raise InvalidParams(f"(2,1) needs 0 <= s <= t/2, gcd(s,t)=1; got ({s},{t})")
         d = n - 2 * (q - 1) ** 2
         return DistanceResult(d, d, "formula")
     if sig == (2, 2):
@@ -91,15 +90,12 @@ def dim5_distance(sig: tuple[int, int], q: int, s: int = 0, t: int = 0) -> Dista
         # d >= (q-1)^3 - (q-1)(1+q+2*sqrt(q)), non-strict
         lower = n - (1 + q) * (q - 1) - _sqrt_bound_floor(q)
         return DistanceResult(max(1, lower), n, "bound")
-    if sig == (3, 2):
-        if t < 1 or gcd(s, t) != 1 or not 0 < s <= t:
-            raise InvalidParams(f"(3,2) needs 0 < s <= t, gcd(s,t)=1; got ({s},{t})")
-        lower = n - (q - 2) ** 2 - (s + t) * q
-        upper = n - (q - 1) * (q - 3) - q * gcd(s + t, q - 1)
-        # distances of nonzero codes are >= 1; a nonpositive lower bound
-        # is vacuous but the interval stays valid
-        return DistanceResult(max(1, min(lower, upper)), min(n, upper), "bound")
-    raise InvalidParams(f"unknown width-1 signature {sig}")
+    # (3, 2)
+    lower = n - (q - 2) ** 2 - (s + t) * q
+    upper = n - (q - 1) * (q - 3) - q * gcd(s + t, q - 1)
+    # distances of nonzero codes are >= 1; a nonpositive lower bound
+    # is vacuous but the interval stays valid
+    return DistanceResult(max(1, min(lower, upper)), min(n, upper), "bound")
 
 
 def distance_formula(poly: LatticePolytope, q: int) -> DistanceResult:

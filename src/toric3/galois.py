@@ -118,25 +118,38 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _check(self, *elements) -> None:
+        """Raise InvalidParams unless every argument is an integer in
+        range(q): the tables would wrap a negative index around silently."""
+        for a in elements:
+            if not (isinstance(a, (int, np.integer)) and 0 <= a < self.q):
+                raise InvalidParams(f"field elements are integers in range({self.q}); got {a!r}")
+
     def add(self, a: int, b: int) -> int:
+        self._check(a, b)
         return int(self.add_table[a, b])
 
     def sub(self, a: int, b: int) -> int:
+        self._check(a, b)
         return int(self.add_table[a, self.neg_table[b]])
 
     def mul(self, a: int, b: int) -> int:
+        self._check(a, b)
         return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
+        self._check(a)
         return int(self.neg_table[a])
 
     def inv(self, a: int) -> int:
+        self._check(a)
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return int(self.exp_table[(-self.log_table[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         """a^e for any integer e; negative exponents need a != 0."""
+        self._check(a)
         if a == 0:
             if e < 0:
                 raise DivisionByZero("0 to a negative power")
@@ -144,6 +157,7 @@ class FieldSpec:
         return int(self.exp_table[(self.log_table[a] * e) % (self.q - 1)])
 
     def log(self, a: int) -> int:
+        self._check(a)
         if a == 0:
             raise ZeroArgument("log of 0")
         return int(self.log_table[a])
@@ -198,7 +212,7 @@ def solve_power(field: FieldSpec, t: int, a: int) -> set[int]:
     """All units y with y^t = a.
 
     The solution set has size gcd(t, q-1) when a is a t-th power and is
-    empty otherwise.
+    empty otherwise.  An ``a`` outside range(q) raises InvalidParams.
     """
     if a == 0:
         raise ZeroArgument("solve_power requires a nonzero right-hand side")

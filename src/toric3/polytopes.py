@@ -30,13 +30,18 @@ def det3(r0, r1, r2) -> int:
     )
 
 
-def det4(rows) -> int:
-    total = 0
-    for c in range(4):
-        minor = [[row[j] for j in range(4) if j != c] for row in rows[1:]]
-        term = rows[0][c] * det3(*minor)
-        total += term if c % 2 == 0 else -term
-    return total
+def _require_3d(points) -> None:
+    if not points or any(len(p) != 3 for p in points):
+        raise DegenerateConfiguration("3-D geometry needs points, each with 3 coordinates")
+
+
+def det4(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
+    """Orientation of four points of Z^3: the determinant of their
+    homogeneous rows (1, p), which is det(p1 - p0, p2 - p0, p3 - p0), the
+    signed normalized volume of their tetrahedron; 0 iff coplanar."""
+    _require_3d((p0, p1, p2, p3))
+    return det3(*((a - p0[0], b - p0[1], c - p0[2]) for a, b, c in (p1, p2, p3)))
+
 
 # Family tags
 EMPTY_TETRA = "EMPTY_TETRA"
@@ -136,36 +141,33 @@ class Signature:
 
 def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
     """T(s,t) = Conv{(0,0,0),(1,0,0),(0,0,1),(s,t,1)}, gcd(s,t)=1."""
-    if t < 1 or gcd(s, t) != 1:
-        raise InvalidParams(f"empty tetrahedron needs t >= 1, gcd(s,t)=1; got ({s},{t})")
+    FAMILIES[EMPTY_TETRA].check(s, t)
     return LatticePolytope(
         ((0, 0, 0), (1, 0, 0), (0, 0, 1), (s, t, 1)), EMPTY_TETRA, (s, t)
     )
 
 
+def width1_tag(sig: tuple[int, int], s: int = 0, t: int = 0) -> str:
+    """The tag of the width-1 family with signature ``sig``, once (s, t)
+    passes its rule."""
+    try:
+        tag = _SIGNATURE_TAGS[sig]
+    except (KeyError, TypeError):  # TypeError: a list or other unhashable sig
+        raise InvalidParams(f"unknown width-1 signature {sig}") from None
+    FAMILIES[tag].check(s, t)
+    return tag
+
+
 def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
     """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or (3,2)."""
-    if sig == (2, 1):
-        if t < 1 or gcd(s, t) != 1 or not (0 <= 2 * s <= t):
-            raise InvalidParams(f"(2,1) needs 0 <= s <= t/2, gcd(s,t)=1; got ({s},{t})")
-        return LatticePolytope(
-            ((0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (s, t, 1)), SIG21, (s, t)
-        )
-    if sig == (2, 2):
-        return LatticePolytope(
-            ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), SIG22
-        )
-    if sig == (3, 1):
-        return LatticePolytope(
-            ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)), SIG31
-        )
-    if sig == (3, 2):
-        if t < 1 or gcd(s, t) != 1 or not (0 < s <= t):
-            raise InvalidParams(f"(3,2) needs 0 < s <= t, gcd(s,t)=1; got ({s},{t})")
-        return LatticePolytope(
-            ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (s, t, 1)), SIG32, (s, t)
-        )
-    raise InvalidParams(f"unknown width-1 signature {sig}")
+    tag = width1_tag(sig, s, t)
+    points = {
+        SIG21: ((0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (s, t, 1)),
+        SIG22: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+        SIG31: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)),
+        SIG32: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (s, t, 1)),
+    }[tag]
+    return LatticePolytope(points, tag, (s, t) if FAMILIES[tag].admits else ())
 
 
 _WIDTH2_ROWS: tuple[tuple[Point, ...], ...] = (
@@ -230,24 +232,63 @@ def embedded_polygon(i: int) -> LatticePolytope:
 @dataclass(frozen=True)
 class Family:
     """A named family: its spec format, one ``%d`` per parameter, its
-    constructor, and the signature of the width-1 families."""
+    constructor, and the signature of the width-1 families.  A family with
+    parameters (s, t) also carries their rule: ``admits``, a predicate cheap
+    enough to run on every census pair, and ``needs``, the rule in words."""
 
     spec: str
     make: Callable[..., LatticePolytope]
     signature: tuple[int, int] | None = None
+    admits: Callable[[int, int], bool] | None = None
+    needs: str = ""
+
+    def check(self, s: int, t: int) -> None:
+        """Raise InvalidParams unless the family has the parameters (s, t);
+        a family without a rule takes any."""
+        if self.admits is not None and not self.admits(s, t):
+            raise InvalidParams(f"{self.needs}; got ({s},{t})")
 
 
 FAMILIES: dict[str, Family] = {
-    EMPTY_TETRA: Family("T(%d,%d)", empty_tetrahedron),
-    SIG21: Family("P21(%d,%d)", partial(width1_representative, (2, 1)), (2, 1)),
+    EMPTY_TETRA: Family(
+        "T(%d,%d)", empty_tetrahedron, None,
+        lambda s, t: t >= 1 and gcd(s, t) == 1, "empty tetrahedron needs t >= 1, gcd(s,t)=1",
+    ),
+    SIG21: Family(
+        "P21(%d,%d)", partial(width1_representative, (2, 1)), (2, 1),
+        lambda s, t: 0 <= 2 * s <= t and gcd(s, t) == 1, "(2,1) needs 0 <= s <= t/2, gcd(s,t)=1",
+    ),
     SIG22: Family("P22", partial(width1_representative, (2, 2)), (2, 2)),
     SIG31: Family("P31", partial(width1_representative, (3, 1)), (3, 1)),
-    SIG32: Family("P32(%d,%d)", partial(width1_representative, (3, 2)), (3, 2)),
+    SIG32: Family(
+        "P32(%d,%d)", partial(width1_representative, (3, 2)), (3, 2),
+        lambda s, t: 0 < s <= t and gcd(s, t) == 1, "(3,2) needs 0 < s <= t, gcd(s,t)=1",
+    ),
     WIDTH2: Family("W2:%d", width2_representative),
     EMBEDDED_POLYGON: Family("E:%d", embedded_polygon),
 }
 
 WIDTH1_SIGNATURES = {tag: f.signature for tag, f in FAMILIES.items() if f.signature}
+_SIGNATURE_TAGS = {sig: tag for tag, sig in WIDTH1_SIGNATURES.items()}
+
+# The families of each census, in row order.
+CENSUS_FAMILIES = {4: (EMPTY_TETRA,), 5: (SIG21, SIG22, SIG31, SIG32)}
+
+
+def parameter_sweep(q: int, dim: int) -> list[tuple[str, int, int]]:
+    """(family, s, t) for every polytope of the dim's census over GF(q):
+    each (s, t) with 1 <= t <= q-2 and 0 <= s <= t that the family's rule
+    admits, or (0, 0) once for a family without parameters."""
+    if dim not in CENSUS_FAMILIES:
+        raise InvalidParams(f"dim must be 4 or 5; got {dim}")
+    out = []
+    for tag in CENSUS_FAMILIES[dim]:
+        admits = FAMILIES[tag].admits
+        if admits is None:
+            out.append((tag, 0, 0))
+        else:
+            out += [(tag, s, t) for t in range(1, q - 1) for s in range(t + 1) if admits(s, t)]
+    return out
 
 
 # -- affine dependence / signature --------------------------------------------
@@ -256,18 +297,16 @@ WIDTH1_SIGNATURES = {tag: f.signature for tag, f in FAMILIES.items() if f.signat
 def affine_dependence(poly: LatticePolytope) -> Signature:
     """Unique (up to scale) affine dependence among 5 points.
 
-    The coefficient at position k is the signed minor obtained by
-    deleting column k of the homogeneous 4x5 coordinate matrix, so the
-    vector is exactly the alternating-volume vector of the table rows.
+    The coefficient at position k is (-1)^k times the orientation of the
+    points without point k, the signed minor of the homogeneous 4x5
+    coordinate matrix, so the vector is exactly the alternating-volume
+    vector of the table rows.
     Sign-normalized to make the first nonzero entry negative.
     """
     if poly.k != 5:
         raise DegenerateConfiguration("affine dependence needs exactly 5 points")
-    cols = [(1, p[0], p[1], p[2]) for p in poly.points]
-    coeffs = []
-    for k in range(5):
-        rows = [[cols[j][r] for j in range(5) if j != k] for r in range(4)]
-        coeffs.append((1 if k % 2 == 0 else -1) * det4(rows))
+    pts = poly.points
+    coeffs = [(-1) ** k * det4(*pts[:k], *pts[k + 1 :]) for k in range(5)]
     if all(c == 0 for c in coeffs):
         raise DegenerateConfiguration("points do not affinely span R^3")
     first = next(c for c in coeffs if c != 0)
@@ -298,6 +337,7 @@ def lattice_width(poly: LatticePolytope, with_direction: bool = False):
     returned on request as a certificate.
     """
     pts = poly.points
+    _require_3d(pts)
     if len(pts) == 1:
         return (0, (0, 0, 1)) if with_direction else 0
     bounds = []
@@ -317,8 +357,7 @@ def lattice_width(poly: LatticePolytope, with_direction: bool = False):
 
 def normalized_volume_tetra(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     """|det(p1-p0, p2-p0, p3-p0)|; 0 iff the four points are coplanar."""
-    rows = [tuple(a - b for a, b in zip(p, p0)) for p in (p1, p2, p3)]
-    return abs(det3(*rows))
+    return abs(det4(p0, p1, p2, p3))
 
 
 def hull_lattice_points(vertices: tuple[Point, ...]) -> list[Point]:
@@ -328,30 +367,14 @@ def hull_lattice_points(vertices: tuple[Point, ...]) -> list[Point]:
     dependence on any classification theorem.
     """
     v = vertices
-    vol = det3(*[tuple(a - b for a, b in zip(p, v[0])) for p in v[1:]])
+    vol = det4(*v)
     if vol == 0:
         raise DegenerateConfiguration("vertices are coplanar")
-    inside = []
-    los = [min(p[i] for p in v) for i in range(3)]
-    his = [max(p[i] for p in v) for i in range(3)]
-    for x in range(los[0], his[0] + 1):
-        for y in range(los[1], his[1] + 1):
-            for z in range(los[2], his[2] + 1):
-                p = (x, y, z)
-                # p is in the hull iff replacing each vertex keeps the
-                # signed volume on the same side (or degenerate)
-                ok = True
-                for i in range(4):
-                    repl = [p if j == i else v[j] for j in range(4)]
-                    d = det3(
-                        *[tuple(a - b for a, b in zip(q, repl[0])) for q in repl[1:]]
-                    )
-                    if d * vol < 0:
-                        ok = False
-                        break
-                if ok:
-                    inside.append(p)
-    return inside
+    box = (range(min(p[i] for p in v), max(p[i] for p in v) + 1) for i in range(3))
+    # p is in the hull iff putting it in place of any one vertex never
+    # flips the orientation
+    return [p for p in product(*box)
+            if all(vol * det4(*v[:i], p, *v[i + 1 :]) >= 0 for i in range(4))]
 
 
 def is_empty_tetrahedron(poly: LatticePolytope) -> bool:

@@ -1,14 +1,17 @@
 """Independent references for the generator matrix, the enumeration
-kernel and the census grouping, kept for tests only."""
+kernel, the census grouping, the census parameter sweeps and the
+lattice determinants, kept for tests only."""
 
 from collections import Counter
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
 from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
 from toric3.codes import _torus_logs, build_code
 from toric3.galois import make_field
+from toric3.polytopes import SIG21, SIG22, SIG31, SIG32
 
 
 def generator_matrix_reference(field, exponent_vectors):
@@ -61,3 +64,93 @@ def all_pairs_classes(q, entries):
             parent[find(i)] = find(j)
     roots = {}
     return [roots.setdefault(find(i), len(roots)) for i in range(len(entries))]
+
+
+def dim4_parameter_sweep(q: int):
+    """All (s, t) with 1 <= t <= q-2, gcd(s,t)=1, 0 <= s < t, plus (1,1)."""
+    out = []
+    for t in range(1, q - 1):
+        for s in range(t):
+            if gcd(s, t) == 1:
+                out.append((s, t))
+        if t == 1:
+            out.append((1, 1))
+    return out
+
+
+def dim5_parameter_sweep(q: int):
+    """Width-1 tuples fitting [-(q-2), q-2] exponents with t <= q-2."""
+    out = []
+    for t in range(1, q - 1):
+        for s in range(t + 1):
+            if 2 * s <= t and gcd(s, t) == 1:
+                out.append((SIG21, s, t))
+    out.append((SIG22, 0, 0))
+    out.append((SIG31, 0, 0))
+    for t in range(1, q - 1):
+        for s in range(1, t + 1):
+            if gcd(s, t) == 1:
+                out.append((SIG32, s, t))
+    return out
+
+
+def det3_reference(r0, r1, r2) -> int:
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+
+
+def det4_reference(rows) -> int:
+    """Cofactor expansion of a 4x4 matrix along its first row."""
+    total = 0
+    for c in range(4):
+        minor = [[row[j] for j in range(4) if j != c] for row in rows[1:]]
+        term = rows[0][c] * det3_reference(*minor)
+        total += term if c % 2 == 0 else -term
+    return total
+
+
+def affine_volumes_reference(points):
+    """Signed minors of the homogeneous 4x5 coordinate matrix of five
+    points, column k deleted for coefficient k, with the first nonzero
+    entry made negative: the loop the orientation primitive replaced."""
+    cols = [(1, p[0], p[1], p[2]) for p in points]
+    coeffs = []
+    for k in range(5):
+        rows = [[cols[j][r] for j in range(5) if j != k] for r in range(4)]
+        coeffs.append((1 if k % 2 == 0 else -1) * det4_reference(rows))
+    first = next((c for c in coeffs if c != 0), 0)
+    return tuple(-c for c in coeffs) if first > 0 else tuple(coeffs)
+
+
+def volume_reference(p0, p1, p2, p3) -> int:
+    return abs(det3_reference(*[tuple(a - b for a, b in zip(p, p0)) for p in (p1, p2, p3)]))
+
+
+def hull_reference(v):
+    """Lattice points of the tetrahedron on 4 vertices, None if they are
+    coplanar: the nested bounding-box loop the comprehension replaced."""
+    vol = det3_reference(*[tuple(a - b for a, b in zip(p, v[0])) for p in v[1:]])
+    if vol == 0:
+        return None
+    inside = []
+    los = [min(p[i] for p in v) for i in range(3)]
+    his = [max(p[i] for p in v) for i in range(3)]
+    for x in range(los[0], his[0] + 1):
+        for y in range(los[1], his[1] + 1):
+            for z in range(los[2], his[2] + 1):
+                p = (x, y, z)
+                ok = True
+                for i in range(4):
+                    repl = [p if j == i else v[j] for j in range(4)]
+                    d = det3_reference(
+                        *[tuple(a - b for a, b in zip(q, repl[0])) for q in repl[1:]]
+                    )
+                    if d * vol < 0:
+                        ok = False
+                        break
+                if ok:
+                    inside.append(p)
+    return inside

@@ -14,9 +14,7 @@ from toric3.classify import (
     EQUIVALENT,
     census,
     column_partition,
-    dim4_parameter_sweep,
     dim4_theorem_verdict,
-    dim5_parameter_sweep,
     dim5_theorem_verdict,
     witness_equivalence,
 )
@@ -32,6 +30,7 @@ from toric3.polytopes import (
     embedded_polygon,
     empty_tetrahedron,
     lattice_width,
+    parameter_sweep,
     white_canonical,
     white_equivalence_map,
     width1_representative,
@@ -84,7 +83,7 @@ def test_criterion_1_dim4_formula_vs_brute():
     failures = []
     for q in (5, 7, 8, 9):
         field = make_field(q)
-        for s, t in dim4_parameter_sweep(q):
+        for _, s, t in parameter_sweep(q, 4):
             brute = build_code(field, empty_tetrahedron(s, t)).min_distance_brute()
             formula = dim4_distance(q, t)
             if brute.value != formula.value:
@@ -97,7 +96,7 @@ def test_criterion_2_dim5_width1_formulas():
     failures = []
     for q in (5, 7):
         field = make_field(q)
-        for family, s, t in dim5_parameter_sweep(q):
+        for family, s, t in parameter_sweep(q, 5):
             sig = _SIG_OF_FAMILY[family]
             poly = width1_representative(sig, s, t)
             brute = build_code(field, poly).min_distance_brute().value

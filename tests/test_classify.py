@@ -11,7 +11,6 @@ from toric3.classify import (
     census,
     column_partition,
     dim4_gcd_corollary,
-    dim4_parameter_sweep,
     dim4_theorem_verdict,
     dim5_theorem_verdict,
     witness_equivalence,
@@ -20,7 +19,9 @@ from toric3.codes import build_code
 from toric3.errors import InvalidParams, ShapeMismatch, UnsupportedFamily
 from toric3.galois import make_field
 from toric3.polytopes import (
+    EMPTY_TETRA,
     empty_tetrahedron,
+    parameter_sweep,
     width1_representative,
     width2_representative,
 )
@@ -217,11 +218,23 @@ class TestDim5Theorem:
     def test_invalid_signature(self):
         with pytest.raises(InvalidParams):
             dim5_theorem_verdict(7, (4, 1), (0, 0), (2, 2), (0, 0))
+        with pytest.raises(InvalidParams):  # a list, not a signature tuple
+            dim5_theorem_verdict(7, [2, 1], (0, 1), (2, 2), (0, 0))
+
+    @pytest.mark.parametrize("sig,params", [((2, 1), (2, 4)), ((2, 1), (5, 3)), ((3, 2), (0, 0))])
+    def test_parameters_that_name_no_polytope(self, sig, params):
+        # P21(2,4), P21(5,3) and P32(0,0) have no representative, so no verdict
+        with pytest.raises(InvalidParams):
+            dim5_theorem_verdict(7, sig, params, sig, params)
+        with pytest.raises(InvalidParams):
+            dim5_theorem_verdict(7, (2, 2), (0, 0), sig, params)
 
 
 class TestCensus:
     def test_dim4_sweep_definition(self):
-        assert dim4_parameter_sweep(5) == [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
+        assert parameter_sweep(5, 4) == [
+            (EMPTY_TETRA, s, t) for s, t in ((0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
+        ]
 
     def test_q5_dim4_classes(self):
         entries = census(make_field(5), 4)

@@ -60,6 +60,18 @@ def test_equiv_theorem_and_witness(capsys):
     assert payload["agreement"] is True
 
 
+def test_equiv_disagreement_exits_1(capsys, monkeypatch):
+    def inequivalent(q, pa, pb):
+        return classify.EquivalenceVerdict(classify.INEQUIVALENT, "THEOREM", "forced")
+
+    monkeypatch.setattr(classify, "theorem_verdict", inequivalent)
+    code, out, _ = run(capsys, "equiv", "--q", "5", "--a", "T(1,2)", "--b", "T(3,2)")
+    payload = json.loads(out)
+    assert payload["witness"]["status"] == "EQUIVALENT"
+    assert payload["agreement"] is False
+    assert code == 1
+
+
 def test_equiv_cross_signature(capsys):
     code, out, _ = run(capsys, "equiv", "--q", "5", "--a", "P22", "--b", "P31", "--method", "theorem")
     assert code == 0

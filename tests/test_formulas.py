@@ -104,6 +104,12 @@ class TestDim5:
         with pytest.raises(InvalidField):
             dim5_distance((2, 2), 4)
 
+    def test_field_is_checked_before_the_parameters(self):
+        with pytest.raises(InvalidField):
+            dim5_distance((2, 1), 4, 2, 4)
+        with pytest.raises(InvalidField):
+            dim5_distance((9, 9), 6)
+
 
 class TestFormulaVersusBrute:
     """Spot checks; the full sweeps live in the acceptance suite."""

@@ -254,3 +254,27 @@ def test_kernel_byte_tables_copy_the_int64_tables(q):
         assert small.dtype == np.uint8 and small.nbytes <= 4096
         assert np.array_equal(small, wide)
         assert not small.flags.writeable
+
+
+@pytest.mark.parametrize("q", [5, 8])
+@pytest.mark.parametrize("bad", [-1, -3, "q", "q+1", 1.0])
+def test_elements_outside_range_q_are_invalid_params(q, bad):
+    # a negative element used to wrap around the tables: over GF(8)
+    # log(-1) gave log(7) = 5, mul(-1,-1) gave 3, solve_power(f, 1, -1) {7}
+    f = make_field(q)
+    a = {"q": q, "q+1": q + 1}.get(bad, bad)
+    calls = [
+        lambda: f.add(a, 1), lambda: f.add(1, a), lambda: f.sub(a, 1), lambda: f.sub(1, a),
+        lambda: f.mul(a, 1), lambda: f.mul(1, a), lambda: f.neg(a), lambda: f.inv(a),
+        lambda: f.pow(a, 2), lambda: f.log(a), lambda: solve_power(f, 1, a),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match=rf"range\({q}\)"):
+            call()
+
+
+def test_exp_takes_any_integer():
+    f = make_field(8)
+    assert f.exp(-1) == f.exp(6)
+    assert f.exp(7 * 3 + 2) == f.exp(2)
+    assert f.mul(np.int64(3), np.uint8(5)) == f.mul(3, 5)

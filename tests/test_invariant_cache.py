@@ -10,15 +10,13 @@ from toric3 import classify
 from toric3.classify import (
     INCONCLUSIVE,
     census,
-    dim4_parameter_sweep,
-    dim5_parameter_sweep,
     witness_equivalence,
 )
 from toric3.cli import main
 from toric3.codes import ToricCode, build_code
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
-from toric3.polytopes import EMPTY_TETRA, FAMILIES, empty_tetrahedron, parse_polytope_spec
+from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse_polytope_spec
 
 
 @pytest.fixture
@@ -51,8 +49,7 @@ def test_verify_runs_one_pass_per_code(passes, capsys):
     # tuples, then 4 embedded polygons and their 4 planar codes for the
     # product theorem
     field = make_field(5)
-    sweeps = ([(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(5)],
-              dim5_parameter_sweep(5))
+    sweeps = (parameter_sweep(5, 4), parameter_sweep(5, 5))
     keys = [len({build_code(field, FAMILIES[f].make(s, t))._column_key for f, s, t in sweep})
             for sweep in sweeps]
     assert keys == [2, 8]

@@ -1,6 +1,9 @@
+import random
+from itertools import product
 from math import gcd
 
 import pytest
+from oracle import affine_volumes_reference, hull_reference, volume_reference
 
 from toric3.errors import DegenerateConfiguration, InvalidParams, OutOfRange, ParseError
 from toric3.polytopes import (
@@ -10,6 +13,7 @@ from toric3.polytopes import (
     LatticePolytope,
     affine_dependence,
     apply_map,
+    det4,
     embedded_polygon,
     empty_tetrahedron,
     hull_lattice_points,
@@ -306,3 +310,59 @@ class TestSpecGrammar:
     )
     def test_describe_point_lists_of_any_length(self, points, text):
         assert LatticePolytope(points).describe() == text
+
+
+class TestOrientation:
+    """One orientation determinant behind the dependence, the hull and the
+    volume, checked against the cofactor expansions it replaced."""
+
+    CUBE = list(product(range(-3, 4), repeat=3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_cofactor_expansions(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            pts = tuple(rng.sample(self.CUBE, 5))
+            volumes = affine_volumes_reference(pts)
+            if any(volumes):
+                assert affine_dependence(LatticePolytope(pts)).volumes == volumes
+            else:
+                with pytest.raises(DegenerateConfiguration):
+                    affine_dependence(LatticePolytope(pts))
+            tetra = pts[:4]
+            assert normalized_volume_tetra(*tetra) == volume_reference(*tetra)
+            hull = hull_reference(tetra)
+            if hull is None:
+                with pytest.raises(DegenerateConfiguration):
+                    hull_lattice_points(tetra)
+            else:
+                assert hull_lattice_points(tetra) == hull
+
+    def test_is_the_determinant_of_the_homogeneous_rows(self):
+        e = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert det4(*e) == 1
+        assert det4(e[1], e[0], e[2], e[3]) == -1
+        assert det4(*empty_tetrahedron(3, 7).points) == -7
+
+
+FLAT5 = LatticePolytope(((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))
+FLAT4 = LatticePolytope(((0, 0), (1, 0), (0, 1), (2, 3)))
+DEEP4 = LatticePolytope(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+
+
+@pytest.mark.parametrize("fn,args", [
+    (lattice_width, (FLAT5,)),
+    (lattice_width, (DEEP4,)),
+    (lattice_width, (LatticePolytope(()),)),
+    (affine_dependence, (FLAT5,)),
+    (is_empty_tetrahedron, (FLAT4,)),
+    (is_empty_tetrahedron, (DEEP4,)),
+    (hull_lattice_points, (FLAT4.points,)),
+    (normalized_volume_tetra, FLAT4.points),
+    (det4, DEEP4.points),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_3d_geometry_rejects_points_of_another_length(fn, args):
+    # code points may have any length; the 3-D geometry names the problem
+    # instead of failing on an index
+    with pytest.raises(DegenerateConfiguration):
+        fn(*args)

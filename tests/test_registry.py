@@ -1,21 +1,27 @@
 """The family registry and the dispatches that read it."""
 
 import json
+import re
 
 import pytest
+from oracle import dim4_parameter_sweep, dim5_parameter_sweep
 
-from toric3.classify import dim4_parameter_sweep, dim5_parameter_sweep, theorem_verdict
+from toric3.classify import dim4_theorem_verdict, dim5_theorem_verdict, theorem_verdict
 from toric3.cli import main
-from toric3.errors import NoFormulaForFamily
-from toric3.formulas import distance_formula
+from toric3.errors import InvalidParams, NoFormulaForFamily
+from toric3.formulas import dim5_distance, distance_formula
+from toric3.galois import _factor_prime_power
 from toric3.polytopes import (
     CUSTOM,
     EMPTY_TETRA,
     FAMILIES,
+    SIG21,
+    SIG32,
     LatticePolytope,
     affine_dependence,
     embedded_polygon,
     empty_tetrahedron,
+    parameter_sweep,
     parse_polytope_spec,
     width1_representative,
     width2_representative,
@@ -57,11 +63,7 @@ def test_no_formula_outside_the_formula_families(spec):
 
 
 def _sweep(q, dim):
-    if dim == 4:
-        tuples = [(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(q)]
-    else:
-        tuples = dim5_parameter_sweep(q)
-    return [FAMILIES[fam].make(s, t) for fam, s, t in tuples]
+    return [FAMILIES[fam].make(s, t) for fam, s, t in parameter_sweep(q, dim)]
 
 
 @pytest.mark.parametrize("q,dim", [(7, 5), (9, 4)])
@@ -74,3 +76,85 @@ def test_equiv_theorem_matches_census_dispatch(capsys, q, dim):
             assert main(argv) == 0
             got = json.loads(capsys.readouterr().out)["theorem"]
             assert got == theorem_verdict(q, pa, pb).to_dict(), (pa, pb)
+
+
+ORDERS = [q for q in range(3, 65) if _factor_prime_power(q)]
+
+
+def test_orders_are_the_26_supported_prime_powers():
+    assert len(ORDERS) == 26
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_parameter_sweep_is_the_old_pair_of_sweeps(q):
+    assert parameter_sweep(q, 4) == [(EMPTY_TETRA, s, t) for s, t in dim4_parameter_sweep(q)]
+    assert parameter_sweep(q, 5) == dim5_parameter_sweep(q)
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_parameter_sweep_rejects_other_dims(dim):
+    with pytest.raises(InvalidParams, match="dim must be 4 or 5"):
+        parameter_sweep(7, dim)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except InvalidParams:
+        return False
+    return True
+
+
+GRID_Q = 16  # the sweep's t <= q-2 covers the whole grid
+
+
+def _gates(tag, s, t):
+    """Whether each function that takes a family's (s, t) accepts this one:
+    the constructor, the formula or dim-4 theorem, the width-1 theorem
+    (with the pair on either side of a valid one), and the sweep, inside
+    the box 1 <= t <= q-2, 0 <= s <= t that it covers."""
+    fam = FAMILIES[tag]
+    q = GRID_Q
+    gates = {"constructor": _accepts(lambda: fam.make(s, t))}
+    if tag == EMPTY_TETRA:
+        gates["dim4_theorem_verdict a"] = _accepts(lambda: dim4_theorem_verdict(q, s, t, 0, 1))
+        gates["dim4_theorem_verdict b"] = _accepts(lambda: dim4_theorem_verdict(q, 0, 1, s, t))
+    else:
+        sig = fam.signature
+        gates["dim5_distance"] = _accepts(lambda: dim5_distance(sig, q, s, t))
+        gates["dim5_theorem_verdict a"] = _accepts(
+            lambda: dim5_theorem_verdict(q, sig, (s, t), (2, 2), (0, 0)))
+        gates["dim5_theorem_verdict b"] = _accepts(
+            lambda: dim5_theorem_verdict(q, (2, 2), (0, 0), sig, (s, t)))
+    if 1 <= t <= q - 2 and 0 <= s <= t:
+        dim = 4 if tag == EMPTY_TETRA else 5
+        gates["parameter_sweep"] = (tag, s, t) in parameter_sweep(q, dim)
+    return gates
+
+
+@pytest.mark.parametrize("tag", [EMPTY_TETRA, SIG21, SIG32])
+def test_every_gate_accepts_the_same_parameters(tag):
+    disagree, accepted = [], 0
+    for t in range(-1, 14):
+        for s in range(-3, 15):
+            gates = _gates(tag, s, t)
+            accepted += gates["constructor"]
+            if len(set(gates.values())) != 1:
+                disagree.append((s, t, gates))
+    assert not disagree, disagree[:3]
+    assert accepted > 20
+
+
+@pytest.mark.parametrize("tag,message", [
+    (EMPTY_TETRA, "empty tetrahedron needs t >= 1, gcd(s,t)=1; got (2,4)"),
+    (SIG21, "(2,1) needs 0 <= s <= t/2, gcd(s,t)=1; got (2,4)"),
+    (SIG32, "(3,2) needs 0 < s <= t, gcd(s,t)=1; got (2,4)"),
+])
+def test_rejections_keep_their_messages(tag, message):
+    fam = FAMILIES[tag]
+    calls = [lambda: fam.make(2, 4)]
+    if fam.signature:
+        calls.append(lambda: dim5_distance(fam.signature, 7, 2, 4))
+    for call in calls:
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            call()
