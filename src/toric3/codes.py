@@ -16,8 +16,10 @@ homogenized exponent matrix H_S (one row (1, p) per point p of S) and
 by (q-1)Z^|S|.  The orbits are the cosets of L_S, so one codeword per
 coset, weighted by the coset size, gives the exact weight enumerator
 and distance; this is exact, not a heuristic.  The representatives of
-all supports run through one stream of coefficient blocks, so a small
-code is evaluated in a single block.
+all supports are numbered in one range, and each block of coefficients
+is built from its index range alone, so a small code is evaluated in a
+single block.  Two exact checks guard the enumerator: it sums to q^k,
+and its first moment is n(q-1)q^(k-1).
 
 G and the codewords are uint8, one byte per field element.  A codeword
 is a sum of k terms, each a mul-table row gathered at G's row; the sum
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
@@ -176,91 +177,84 @@ class ToricCode:
             raise ZeroPolynomial("the zero polynomial vanishes everywhere")
         return int(np.count_nonzero(self._words(block) == 0))
 
-    def _zero_weight_per_class(self):
-        """Yield (zeros, weights, classes) arrays, one entry per torus
-        orbit: its zero count, its weight and its number of projective
+    def _zero_counts(self):
+        """Yield (zeros, classes) arrays, one entry per torus orbit: the
+        zero count of its representative and its number of projective
         classes.
 
-        The orbit representatives of every support, in support order,
-        fill one coefficient block after another, so a block spans
-        supports and a small code is evaluated in one block.
+        The representatives of all supports are numbered in one range:
+        supports in mask order, each support's box in C order.  A block
+        is built from its index range alone: a row's support is found on
+        the cumulative orbit counts, its coefficients are alpha to the
+        power of its mixed-radix digits, zero off the support.
         """
         k, n1 = self.k, self.field.q - 1
         hom = [(1, *p) for p in self.polytope.points]
-        rows = max(1, _WORD_BYTES // (8 * self.n))
-        block = np.zeros((rows, k), dtype=np.uint8)
-        classes = np.zeros(rows, dtype=np.int64)
-        used = 0
-        for mask in range(1, 2**k):
-            support = [i for i in range(k) if mask >> i & 1]
+        on = (np.arange(1, 2**k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
+        # box sides of each support's orbits, side 1 off the support
+        sides = np.ones(on.shape, dtype=np.int64)
+        for side, row in zip(sides, on):
+            support = np.flatnonzero(row)
             pivots = _orbit_box([hom[i] for i in support], n1)
-            box = tuple(abs(b[i]) for i, b in enumerate(pivots))
-            orbits = prod(box)
-            lo = 0
-            while lo < orbits:
-                hi = min(lo + rows - used, orbits)
-                part = slice(used, used + hi - lo)
-                block[part] = 0
-                block[part, support] = self.field.exp_u8[
-                    np.stack(np.unravel_index(np.arange(lo, hi), box), axis=1)
-                ]
-                classes[part] = n1 ** (len(support) - 1) // orbits
-                used, lo = part.stop, hi
-                if used == rows:
-                    yield self._zeros_and_weights(block, classes)
-                    used = 0
-        if used:
-            yield self._zeros_and_weights(block[:used], classes[:used])
-
-    def _zeros_and_weights(self, block, classes):
-        """(zeros, weights, classes) of a block; classes is copied, since
-        the caller refills its buffer."""
-        zeros = np.count_nonzero(self._words(block) == 0, axis=1)
-        return zeros, self.n - zeros, classes.copy()
+            side[support] = [abs(b[i]) for i, b in enumerate(pivots)]
+        orbits = sides.prod(axis=1)
+        classes = n1 ** (on.sum(axis=1, dtype=np.int64) - 1) // orbits
+        strides = orbits[:, None] // np.cumprod(sides, axis=1)
+        ends = np.cumsum(orbits)
+        starts, total = ends - orbits, int(ends[-1])
+        rows = max(1, _WORD_BYTES // (8 * self.n))
+        for lo in range(0, total, rows):
+            index = np.arange(lo, min(lo + rows, total))
+            s = np.searchsorted(ends, index, side="right")  # each row's support
+            digits = (index - starts[s])[:, None] // strides[s] % sides[s]
+            block = self.field.exp_u8[digits] * on[s]
+            yield np.count_nonzero(self._words(block) == 0, axis=1), classes[s]
 
     @cached_property
-    def _invariants(self) -> tuple[int, int, dict[int, int]]:
-        """(max zeros, min weight, weight enumerator) from one kernel pass.
+    def _invariants(self) -> tuple[int, dict[int, int]]:
+        """(minimum distance, weight enumerator) from one kernel pass.
 
         Lazy, so a code is only enumerated when asked.  Every projective
-        class contributes q-1 codewords of equal weight.
+        class contributes q-1 codewords of equal weight.  Two exact checks:
+        the enumerator sums to q^k, and its first moment is n(q-1)q^(k-1),
+        since every column of G is nonzero and so each coordinate is
+        nonzero on (q-1)q^(k-1) codewords.
         """
-        q = self.field.q
-        mz, mw = 0, self.n
-        per_weight = np.zeros(self.n + 1, dtype=np.int64)
+        q, k, n = self.field.q, self.k, self.n
+        per_weight = np.zeros(n + 1, dtype=np.int64)
         # weights in order of first appearance, the enumerator's key order
         seen = {0: None}
-        for zeros, weights, classes in self._zero_weight_per_class():
-            mz = max(mz, int(zeros.max()))
-            mw = min(mw, int(weights.min()))
+        for zeros, classes in self._zero_counts():
+            weights = n - zeros
             np.add.at(per_weight, weights, classes)
             seen.update(dict.fromkeys(weights.tolist()))
         counts = {w: int(per_weight[w]) * (q - 1) for w in seen}
         counts[0] += 1  # the zero codeword
-        if self.n - mz != mw:
+        if sum(counts.values()) != q**k:
             raise InternalCheckFailed(
-                f"distance cross-check failed: n - maxZ = {self.n - mz}, "
-                f"min weight = {mw}"
+                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**k}"
             )
-        if sum(counts.values()) != q**self.k:
+        moment = sum(w * c for w, c in counts.items())
+        if moment != n * (q - 1) * q ** (k - 1):
             raise InternalCheckFailed(
-                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**self.k}"
+                f"weight enumerator has first moment {moment}, "
+                f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
             )
-        return mz, mw, counts
+        return min(w for w in seen if w), counts
 
     def max_zeros(self) -> int:
-        """max Z(f) over nonzero f in the span of P's monomials."""
-        return self._invariants[0]
+        """max Z(f) over nonzero f in the span of P's monomials: n - d."""
+        return self.n - self._invariants[0]
 
     def min_distance_brute(self) -> DistanceResult:
-        """Exact minimum distance; n - max Z(f) cross-checked against the
-        minimum nonzero codeword weight."""
-        mw = self._invariants[1]
-        return DistanceResult(mw, mw, "brute")
+        """Exact minimum distance, the least nonzero weight of the orbit
+        enumeration, whose enumerator passed its sum and moment checks."""
+        d = self._invariants[0]
+        return DistanceResult(d, d, "brute")
 
     def weight_enumerator(self) -> dict[int, int]:
         """weight -> count over all q^k codewords, as a new dict."""
-        return dict(self._invariants[2])
+        return dict(self._invariants[1])
 
     def column_tuples(self) -> np.ndarray:
         """Columns of G as the rows of a read-only (n, k) view, no copy."""

@@ -244,8 +244,11 @@ class Family:
 
     def check(self, s: int, t: int) -> None:
         """Raise InvalidParams unless the family has the parameters (s, t);
-        a family without a rule takes any."""
-        if self.admits is not None and not self.admits(s, t):
+        a family without a rule has none, written (0, 0)."""
+        if self.admits is None:
+            if (s, t) != (0, 0):
+                raise InvalidParams(f"{self.spec} takes no parameters; got ({s},{t})")
+        elif not self.admits(s, t):
             raise InvalidParams(f"{self.needs}; got ({s},{t})")
 
 
@@ -367,6 +370,8 @@ def hull_lattice_points(vertices: tuple[Point, ...]) -> list[Point]:
     dependence on any classification theorem.
     """
     v = vertices
+    if len(v) != 4:
+        raise DegenerateConfiguration(f"a tetrahedron has 4 vertices; got {len(v)}")
     vol = det4(*v)
     if vol == 0:
         raise DegenerateConfiguration("vertices are coplanar")

@@ -25,13 +25,13 @@ def passes(monkeypatch):
     hashes by identity and stays alive here, since the id of a freed code
     can be reused."""
     counts = Counter()
-    kernel = ToricCode._zero_weight_per_class
+    kernel = ToricCode._zero_counts
 
     def counted(self):
         counts[self] += 1
         return kernel(self)
 
-    monkeypatch.setattr(ToricCode, "_zero_weight_per_class", counted)
+    monkeypatch.setattr(ToricCode, "_zero_counts", counted)
     return counts
 
 
@@ -103,29 +103,27 @@ def test_enumerator_keys_keep_the_order_weights_are_first_met():
 def test_kernel_yields_integers_only(q):
     # one arithmetic branch each: add mod p, XOR, add-table gather
     code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
-    for arrays in code._zero_weight_per_class():
+    for arrays in code._zero_counts():
+        assert len(arrays) == 2
         assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
 
 
-def test_kernel_distance_cross_check():
-    code = build_code(make_field(5), empty_tetrahedron(1, 2))
-    # n - maxZ = n - 3, but the least weight is n - 2
-    code._zero_weight_per_class = lambda: iter(
-        [(np.array([3]), np.array([code.n - 2]), np.array([1]))]
-    )
-    with pytest.raises(InternalCheckFailed, match="cross-check"):
-        code.min_distance_brute()
-
-
 def test_kernel_enumerator_sum_check():
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
-    # consistent distance, but a single projective class
-    code._zero_weight_per_class = lambda: iter(
-        [(np.array([2]), np.array([code.n - 2]), np.array([1]))]
-    )
+    # a single projective class
+    code._zero_counts = lambda: iter([(np.array([2]), np.array([1]))])
     with pytest.raises(InternalCheckFailed, match="sums to"):
         code.weight_enumerator()
+
+
+def test_kernel_enumerator_first_moment_check():
+    code = build_code(make_field(5), empty_tetrahedron(1, 2))
+    # 156 classes of weight n - 2: 4 * 156 + 1 = 5^4 codewords, but a first
+    # moment of 62 * 624, not n * 4 * 5^3 = 32000
+    code._zero_counts = lambda: iter([(np.array([2]), np.array([156]))])
+    with pytest.raises(InternalCheckFailed, match="first moment"):
+        code.min_distance_brute()
 
 
 def test_witness_checks_its_permutation():

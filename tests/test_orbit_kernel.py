@@ -71,9 +71,62 @@ def test_low_dimensional_tori_match_the_projective_loop(q, poly):
 def test_blocks_split_across_supports_match_the_projective_loop(monkeypatch, rows):
     code = build_code(make_field(7), parse_polytope_spec("P32(1,1)"))
     monkeypatch.setattr(codes, "_WORD_BYTES", 8 * code.n * rows)
-    sizes = [len(z) for z, _, _ in code._zero_weight_per_class()]
+    sizes = [len(z) for z, _ in code._zero_counts()]
     assert set(sizes[:-1]) <= {rows} and 0 < sizes[-1] <= rows
     assert kernel(code) == projective_reference(code)
+
+
+@pytest.mark.parametrize("q,poly", [
+    (7, parse_polytope_spec("P32(1,1)")),
+    (7, planar(2)),
+    (5, parse_polytope_spec("W2:9")),
+], ids=["P32(1,1)@GF(7)", "E:2-planar@GF(7)", "W2:9@GF(5)"])
+def test_every_block_size_numbers_the_same_representatives(monkeypatch, q, poly):
+    # a block of any size, from one row up to the whole range, is built from
+    # its index range alone, so the stream concatenates to the same arrays
+    code = build_code(make_field(q), poly)
+
+    def stream(rows):
+        monkeypatch.setattr(codes, "_WORD_BYTES", 8 * code.n * rows)
+        blocks = list(code._zero_counts())
+        assert all(len(z) == rows for z, _ in blocks[:-1])
+        assert 0 < len(blocks[-1][0]) <= rows
+        return [np.concatenate(a) for a in zip(*blocks)]
+
+    whole = stream(1 << 20)
+    total = len(whole[0])
+    assert total > 20
+    for rows in range(1, total + 1):
+        got = stream(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole)), rows
+
+
+@pytest.mark.parametrize("q,poly", [
+    (7, parse_polytope_spec("P32(1,1)")),
+    (7, parse_polytope_spec("W2:1")),
+    (5, LOW_DIM[4]),
+    (7, LatticePolytope(((0,), (1,), (2,), (3,)))),
+], ids=["P32(1,1)@GF(7)", "W2:1@GF(7)", "pentagon@GF(5)", "segment@GF(7)"])
+def test_representatives_run_in_mask_then_c_order(q, poly):
+    # supports in mask order, each support's orbit box in np.unravel_index
+    # order, which the last three codes pin with boxes of two sides > 1:
+    # the enumerator's key order follows this numbering
+    field = make_field(q)
+    code = build_code(field, poly)
+    hom = [(1, *p) for p in code.polytope.points]
+    zeros, classes = [], []
+    for mask in range(1, 2**code.k):
+        support = [i for i in range(code.k) if mask >> i & 1]
+        pivots = _orbit_box([hom[i] for i in support], q - 1)
+        box = tuple(abs(b[i]) for i, b in enumerate(pivots))
+        for digits in zip(*np.unravel_index(np.arange(prod(box)), box)):
+            u = [0] * code.k
+            for i, e in zip(support, digits):
+                u[i] = field.exp_table[e]
+            zeros.append(code.count_zeros(u))
+            classes.append((q - 1) ** (len(support) - 1) // prod(box))
+    got = [np.concatenate(a).tolist() for a in zip(*code._zero_counts())]
+    assert got == [zeros, classes]
 
 
 def test_product_theorem_at_q32():

@@ -358,6 +358,8 @@ DEEP4 = LatticePolytope(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     (is_empty_tetrahedron, (FLAT4,)),
     (is_empty_tetrahedron, (DEEP4,)),
     (hull_lattice_points, (FLAT4.points,)),
+    (hull_lattice_points, (empty_tetrahedron(1, 2).points[:3],)),
+    (hull_lattice_points, (empty_tetrahedron(1, 2).points + ((1, 1, 1),),)),
     (normalized_volume_tetra, FLAT4.points),
     (det4, DEEP4.points),
 ], ids=lambda v: getattr(v, "__name__", None))

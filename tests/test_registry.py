@@ -16,6 +16,8 @@ from toric3.polytopes import (
     EMPTY_TETRA,
     FAMILIES,
     SIG21,
+    SIG22,
+    SIG31,
     SIG32,
     LatticePolytope,
     affine_dependence,
@@ -132,17 +134,23 @@ def _gates(tag, s, t):
     return gates
 
 
-@pytest.mark.parametrize("tag", [EMPTY_TETRA, SIG21, SIG32])
+@pytest.mark.parametrize("tag", [EMPTY_TETRA, SIG21, SIG22, SIG31, SIG32])
 def test_every_gate_accepts_the_same_parameters(tag):
-    disagree, accepted = [], 0
+    # a family without parameters accepts only (0, 0), what the sweep emits
+    disagree, accepted = [], []
     for t in range(-1, 14):
         for s in range(-3, 15):
             gates = _gates(tag, s, t)
-            accepted += gates["constructor"]
+            if gates["constructor"]:
+                accepted.append((s, t))
             if len(set(gates.values())) != 1:
                 disagree.append((s, t, gates))
     assert not disagree, disagree[:3]
-    assert accepted > 20
+    if FAMILIES[tag].admits is None:
+        assert accepted == [(0, 0)]
+        assert (tag, 0, 0) in parameter_sweep(GRID_Q, 5)
+    else:
+        assert len(accepted) > 20
 
 
 @pytest.mark.parametrize("tag,message", [

@@ -47,3 +47,32 @@ def test_no_builtin_exception_raised(path):
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
                 bad.append((node.lineno, exc.id))
     assert not bad, f"{path.name}: builtin exception raised at {bad}"
+
+
+CODES = Path(__file__).resolve().parents[1] / "src" / "toric3" / "codes.py"
+DISTANCE_PATH = {"build_generator_matrix", "_words", "_zero_counts", "_invariants"}
+
+
+def test_no_float_in_the_distance_path():
+    """Distances and enumerators stay exact: the functions that build G,
+    evaluate codewords, count zeros and sum the enumerator use no true
+    division and no float type or dtype."""
+    tree = ast.parse(CODES.read_text(), filename=str(CODES))
+    found = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in DISTANCE_PATH
+    }
+    assert set(found) == DISTANCE_PATH
+    bad = []
+    for name, fn in found.items():
+        body = fn.body[ast.get_docstring(fn) is not None:]
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                bad.append((name, node.lineno, "/"))
+            words = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "value", None) if isinstance(node, ast.Constant) else None]
+            for w in words:
+                if isinstance(w, str) and ("float" in w or w in ("divide", "true_divide")):
+                    bad.append((name, node.lineno, w))
+    assert not bad, f"codes.py: float arithmetic at {bad}"
