@@ -4,11 +4,13 @@ Two routes are kept deliberately independent and cross-checked:
 
 * theorem verdicts — the gcd / residue criteria for empty tetrahedra
   and the width-1 five-point propositions;
-* a constructive witness test — equal column multisets of the generator
-  matrices, read from each code's column key (the Hermite basis of its
-  exponent lattice), give a permutation with the diagonal fixed to the
-  identity; separating invariants (minimum distance, weight enumerator)
-  back it when the keys differ.
+* a constructive witness test — equal column keys (the Hermite basis of
+  each code's exponent lattice), so equal column multisets, give an
+  exponent map E2 = E1*A mod q-1 and from it, with no sort, the column
+  permutation a stable sort of both column lists would give (the
+  rank-in-fiber argument is in ``_lattice_perm``), checked on G with the
+  diagonal fixed to the identity; separating invariants (minimum
+  distance, weight enumerator) back it when the keys differ.
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
@@ -20,11 +22,12 @@ it, and keeps only the first: one kernel pass per key, theorems on every pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import reduce
+from math import gcd, prod
 
 import numpy as np
 
-from .codes import ToricCode, _torus_logs, build_code
+from .codes import ToricCode, _log_sums, _torus_logs, build_code
 from .errors import (
     InternalCheckFailed,
     InvalidParams,
@@ -91,11 +94,77 @@ def column_partition(code: ToricCode) -> ColumnPartition:
     return ColumnPartition(t, cells)
 
 
+def _lattice_perm(c1: ToricCode, c2: ToricCode) -> np.ndarray | None:
+    """perm[x] = the column of G1 that column x of G2 equals, the one a
+    stable sort of both column lists would pair it with; None when no
+    integer A has E2 = E1*A mod q-1 (E the points as rows).
+
+    Column x of G2 holds alpha^(E2*x) = alpha^(E1*(A*x)), so z = A*x mod
+    q-1 is a column of G1 equal to it.  A column repeats once per point of
+    its fiber, a coset of ker(E mod q-1) in the torus; a stable sort pairs
+    the j-th point of an E2-fiber with the j-th point of the E1-fiber of
+    z.  With ker(E mod q-1) + (q-1)*Z^m in triangular form (the kernel of
+    ``_tracked_basis``, pivots d_j dividing q-1), a point's lexicographic
+    rank in its fiber is the mixed-radix number of digits x_j div d_j,
+    radices (q-1)/d_j: given the earlier axes, axis j runs over one
+    residue class mod d_j.  So x's rank in its E2-fiber is read off x, and
+    z is moved to the point of that rank in its E1-fiber one axis at a
+    time, axis j along the kernel row with pivot j, which keeps the earlier
+    axes and the column.  A need not be invertible.
+    """
+    n1, m = c1.field.q - 1, c1.m
+    basis, kernel1 = c1._tracked_basis
+    # A[l][j]: back-substitute column j of E2 into E1's triangular basis
+    A = [[0] * m for _ in range(m)]
+    for j, v in enumerate(map(list, zip(*c2.polytope.points))):
+        for i, (b, c) in enumerate(basis):
+            a, rest = divmod(v[i], b[i])
+            if rest:
+                return None
+            v = [x - a * y for x, y in zip(v, b)]
+            for l in range(m):
+                A[l][j] = (A[l][j] + a * c[l]) % n1
+    units = np.arange(n1, dtype=np.uint16)
+    steps = np.array(A, dtype=np.uint16)[:, :, None] * units % n1
+    z = _log_sums(steps, n1)  # (m, n): z = A*x at every column x
+    radix = [n1 // h[j] for j, h in enumerate(kernel1)]
+    if prod(radix) > 1:
+        rank = _fiber_rank(c2._tracked_basis[1], n1)
+        for j, h in enumerate(kernel1):
+            if radix[j] > 1:
+                r = radix[j]
+                high = rank // prod(radix[j + 1 :])
+                digit = (high - high // r * r).astype(np.uint16)
+                # steps along h that bring z_j's digit to digit, taken mod
+                # r: r steps move z by (q-1)/d_j * h, inside its fiber
+                turn = digit + np.uint16(r) - z[j] // np.uint16(h[j])
+                np.minimum(turn, turn - np.uint16(r), out=turn)
+                z[j:] += turn * np.array(h[j:], dtype=np.uint16)[:, None]
+                z[j:] -= z[j:] // np.uint16(n1) * np.uint16(n1)
+    perm = z[0].astype(np.intp)
+    for axis in z[1:]:
+        perm *= n1
+        perm += axis
+    return perm
+
+
+def _fiber_rank(kernel: list, n1: int) -> np.ndarray:
+    """Each torus point's rank in its fiber, in column order, from the
+    fiber lattice's triangular basis ``kernel`` (see ``_lattice_perm``)."""
+    pivots = [h[j] for j, h in enumerate(kernel)]
+    radix = [n1 // d for d in pivots]
+    units = np.arange(n1, dtype=np.int32)
+    tables = [units // d * prod(radix[j + 1 :]) for j, d in enumerate(pivots)]
+    return reduce(np.add.outer, tables).reshape(-1)
+
+
 def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
     """Constructive test: equal column keys, so equal column multisets,
-    give an explicit permutation witness from the two sorted column
-    orders, checked on G; unequal keys are INEQUIVALENT only when a
-    separating invariant corroborates, else INCONCLUSIVE."""
+    give an explicit permutation witness from the exponent lattice
+    (``_lattice_perm``, the one a stable sort of both column lists would
+    give), checked to be a bijection and checked on G; unequal keys are
+    INEQUIVALENT only when a separating invariant corroborates, else
+    INCONCLUSIVE."""
     if c1.field.q != c2.field.q:
         raise ShapeMismatch("codes live over different fields")
     if c1.n != c2.n or c1.k != c2.k:
@@ -103,12 +172,24 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
             f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]"
         )
     if c1._column_key == c2._column_key:
-        # perm[j] = column of G1 equal to column j of G2
-        perm = np.empty(c1.n, dtype=np.int64)
-        perm[c2._column_order] = c1._column_order
-        if not np.array_equal(c1.G[:, perm], c2.G):
+
+        def failed(why):
             names = f"q={c1.field.q}: {c1.polytope.describe()} vs {c2.polytope.describe()}"
-            raise InternalCheckFailed(f"{names}: column multisets match, yet G1[:, perm] != G2")
+            return InternalCheckFailed(
+                f"{names}: column multisets match, yet G1[:, perm] != G2 ({why})"
+            )
+
+        perm = _lattice_perm(c1, c2)
+        if perm is None:
+            raise failed("no exponent map E2 = E1*A mod q-1")
+        hit = np.zeros(c1.n, dtype=bool)
+        hit[perm] = True
+        if not hit.all():
+            raise failed("perm is not a bijection")
+        # G1 and G2 as read through each code's one view of its columns
+        g1, g2 = c1.column_tuples().T, c2.column_tuples().T
+        if not np.array_equal(g1.take(perm, axis=1), g2):
+            raise failed("columns differ")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
     d1 = c1.min_distance_brute().value
     d2 = c2.min_distance_brute().value
@@ -154,6 +235,11 @@ def dim4_theorem_verdict(
     tetra = FAMILIES[EMPTY_TETRA]
     tetra.check(s1, t1)
     tetra.check(s2, t2)
+    return _dim4_criterion(q, s1, t1, s2, t2)
+
+
+def _dim4_criterion(q: int, s1: int, t1: int, s2: int, t2: int) -> EquivalenceVerdict:
+    """``dim4_theorem_verdict`` on parameters already checked."""
     if t1 == t2:
         t = t1
         g = gcd(t, q - 1)
@@ -200,6 +286,11 @@ def dim5_theorem_verdict(
     """
     width1_tag(sig_a, *params_a)
     width1_tag(sig_b, *params_b)
+    return _dim5_criterion(q, sig_a, params_a, sig_b, params_b)
+
+
+def _dim5_criterion(q, sig_a, params_a, sig_b, params_b) -> EquivalenceVerdict:
+    """``dim5_theorem_verdict`` on parameters already checked."""
     if sig_a != sig_b:
         return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "distinct-signature")
     if sig_a in ((2, 2), (3, 1)):
@@ -226,11 +317,21 @@ def dim5_theorem_verdict(
 def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
     """The theorem verdict for two family representatives: the dim-4
     criteria for two empty tetrahedra, the width-1 criteria for two
-    width-1 representatives, INCONCLUSIVE for any other pair."""
+    width-1 representatives, INCONCLUSIVE for any other pair.  Both
+    polytopes' (s, t) rules are checked, as by the criteria's own entries."""
+    return _theorem_verdict(q, pa, pb, dim4_theorem_verdict, dim5_theorem_verdict)
+
+
+def _theorem_verdict(
+    q: int, pa: LatticePolytope, pb: LatticePolytope, dim4=_dim4_criterion, dim5=_dim5_criterion
+) -> EquivalenceVerdict:
+    """``theorem_verdict`` through the criteria ``dim4`` and ``dim5``, by
+    default unchecked: the census's polytopes were built by checked
+    constructors, so it checks each tuple once, not once per pair."""
     if pa.family == EMPTY_TETRA and pb.family == EMPTY_TETRA:
-        return dim4_theorem_verdict(q, *pa.params, *pb.params)
+        return dim4(q, *pa.params, *pb.params)
     if pa.family in WIDTH1_SIGNATURES and pb.family in WIDTH1_SIGNATURES:
-        return dim5_theorem_verdict(
+        return dim5(
             q,
             WIDTH1_SIGNATURES[pa.family],
             pa.params or (0, 0),
@@ -306,7 +407,7 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
-            thm = theorem_verdict(q, a.polytope, b.polytope)
+            thm = _theorem_verdict(q, a.polytope, b.polytope)
             if thm.status == INEQUIVALENT and a.code is b.code:
                 raise mismatch(a, b, f"theorem says {thm.status} ({thm.detail}), "
                                f"witness says {EQUIVALENT}")

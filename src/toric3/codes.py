@@ -103,13 +103,20 @@ def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
     steps = np.array(reduced, dtype=np.uint16)[:, :, None] * units % n1
     # head[r, c]: log of the product of the first m-1 factors at the c-th
     # point of their torus, lexicographic
-    head = steps[:, 0] if m > 1 else np.zeros((k, 1), dtype=np.uint16)
-    for j in range(1, m - 1):
-        head = (head[:, :, None] + steps[:, j, None, :]).reshape(k, -1)
-        # a sum s < 2(q-1) wraps below zero past s when s < q-1
-        np.minimum(head, head - np.uint16(n1), out=head)
+    head = _log_sums(steps[:, : m - 1], n1)
     shifted = field.exp_u8[(units[:, None] + steps[:, m - 1, None, :]) % n1]
     return shifted[np.arange(k)[:, None], head].reshape(k, -1)
+
+
+def _log_sums(steps: np.ndarray, n1: int) -> np.ndarray:
+    """Sums mod n1 over the torus, in column order, of the uint16 per-axis
+    logs steps[..., j, :] (each below n1): shape (..., n1^m), m axes."""
+    acc = np.zeros((*steps.shape[:-2], 1), dtype=np.uint16)
+    for j in range(steps.shape[-2]):
+        acc = (acc[..., :, None] + steps[..., j, None, :]).reshape(*acc.shape[:-1], -1)
+        # a sum s < 2(q-1) wraps below zero past s when s < q-1
+        np.minimum(acc, acc - np.uint16(n1), out=acc)
+    return acc
 
 
 def _torus_logs(n1: int, m: int) -> np.ndarray:
@@ -189,14 +196,16 @@ class ToricCode:
         power of its mixed-radix digits, zero off the support.
         """
         k, n1 = self.k, self.field.q - 1
-        hom = [(1, *p) for p in self.polytope.points]
+        points = self.polytope.points
         on = (np.arange(1, 2**k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
-        # box sides of each support's orbits, side 1 off the support
+        # box sides of each support's orbits, side 1 off the support and at
+        # its first point p, where H_S's column of ones is the pivot; the
+        # rest is the box of the support translated by -p
         sides = np.ones(on.shape, dtype=np.int64)
         for side, row in zip(sides, on):
-            support = np.flatnonzero(row)
-            pivots = _orbit_box([hom[i] for i in support], n1)
-            side[support] = [abs(b[i]) for i, b in enumerate(pivots)]
+            first, *rest = np.flatnonzero(row).tolist()
+            diffs = [[a - b for a, b in zip(points[i], points[first])] for i in rest]
+            side[rest] = [abs(b[i]) for i, b in enumerate(_orbit_box(diffs, n1))]
         orbits = sides.prod(axis=1)
         classes = n1 ** (on.sum(axis=1, dtype=np.int64) - 1) // orbits
         strides = orbits[:, None] // np.cumprod(sides, axis=1)
@@ -276,11 +285,25 @@ class ToricCode:
         return tuple(map(tuple, basis))
 
     @cached_property
-    def _column_order(self) -> np.ndarray:
-        """G's column indices in stable lexicographic order, sorted once."""
-        order = np.lexsort(self.column_tuples().T[::-1])
-        order.setflags(write=False)
-        return order
+    def _tracked_basis(self) -> tuple[list, list]:
+        """(basis, kernel) of the exponent lattice, reduced once for a witness.
+
+        One ``_orbit_box`` of the points over the m x m identity reduces
+        E*Z^m + (q-1)*Z^k while each generator carries an exponent vector
+        c mod q-1.  Its first k pivots give the pairs (b, c) of basis, b
+        triangular with b = E*c mod q-1.  Its last m pivots are zero on E's
+        rows; their c, with positive pivots d_j dividing q-1, form the
+        triangular basis kernel of ker(E mod q-1) + (q-1)*Z^m.
+        """
+        n1, k, m = self.field.q - 1, self.k, self.m
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        pivots = _orbit_box([*self.polytope.points, *eye], n1)
+        basis = [(b[:k], b[k:]) for b in pivots[:k]]
+        kernel = []
+        for j, g in enumerate(pivots[k:]):
+            h = g[k:] if g[k + j] > 0 else [-a for a in g[k:]]
+            kernel.append([*h[: j + 1], *(a % n1 for a in h[j + 1 :])])
+        return basis, kernel
 
     def dump_log_matrix(self) -> list[list[int]]:
         """Rows of discrete-log indices; every entry of G is a unit."""

@@ -8,16 +8,24 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from toric3 import classify
 from toric3.classify import EQUIVALENT, _census_entries, census, witness_equivalence
 from toric3.codes import ToricCode, build_code
+from toric3.errors import InternalCheckFailed
 from toric3.galois import make_field
-from toric3.polytopes import LatticePolytope, empty_tetrahedron, parse_polytope_spec
+from toric3.polytopes import (
+    FAMILIES,
+    LatticePolytope,
+    empty_tetrahedron,
+    parameter_sweep,
+    parse_polytope_spec,
+)
 
 
 def _reference_perm(c1, c2):
     """The witness permutation by a stable Python sort of the column
     tuples, or None when the column multisets differ."""
-    cols1, cols2 = ([tuple(int(v) for v in c.G[:, j]) for j in range(c.n)] for c in (c1, c2))
+    cols1, cols2 = (list(map(tuple, c.G.T.tolist())) for c in (c1, c2))
     order1 = sorted(range(c1.n), key=cols1.__getitem__)
     order2 = sorted(range(c2.n), key=cols2.__getitem__)
     if [cols1[i] for i in order1] != [cols2[j] for j in order2]:
@@ -130,29 +138,126 @@ def test_witness_reads_the_columns_once_per_code(monkeypatch):
     assert calls == Counter({id(c1): 1, id(c2): 1})
 
 
+def _stable_sort_perm(c1, c2):
+    """The witness permutation from two stable numpy sorts of the columns."""
+    perm = np.empty(c1.n, dtype=np.intp)
+    perm[np.lexsort(c2.G[::-1])] = np.lexsort(c1.G[::-1])
+    return perm
+
+
+CENSUS_RUNS = [(q, 4) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)] + [
+    (q, 5) for q in (5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)
+]
+
+
+@pytest.mark.parametrize("q, dim", CENSUS_RUNS)
+def test_every_census_witness_is_the_stable_sort_permutation(q, dim):
+    # the census's witnesses: each code against the first code with its key
+    field = make_field(q)
+    first = {}
+    witnessed = 0
+    for family, s, t in parameter_sweep(q, dim):
+        code = build_code(field, FAMILIES[family].make(s, t))
+        if (kept := first.setdefault(code._column_key, code)) is not code:
+            wit = witness_equivalence(kept, code)
+            assert np.array_equal(wit.detail, _stable_sort_perm(kept, code))
+            witnessed += 1
+    assert witnessed
+
+
+def _repeats_a_column(code):
+    return len(set(map(bytes, np.ascontiguousarray(code.G.T)))) < code.n
+
+
+def _tied_census_pairs(q, dim):
+    """(first code with the key, code) for the census witnesses whose
+    codes have repeated columns."""
+    field = make_field(q)
+    first, repeats, pairs = {}, {}, []
+    for family, s, t in parameter_sweep(q, dim):
+        code = build_code(field, FAMILIES[family].make(s, t))
+        kept = first.setdefault(code._column_key, code)
+        if kept is code:
+            # a key's codes share one column multiset
+            repeats[kept] = _repeats_a_column(kept)
+        elif repeats[kept]:
+            pairs.append((kept, code))
+    return pairs
+
+
+@pytest.mark.parametrize("q, dim", [(16, 4), (16, 5), (25, 4), (25, 5)])
+def test_tied_census_witnesses_equal_the_reference(q, dim):
+    pairs = _tied_census_pairs(q, dim)
+    assert pairs
+    for c1, c2 in pairs[:8]:
+        assert witness_equivalence(c1, c2).detail.tolist() == _reference_perm(c1, c2)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 16])
+def test_witness_on_related_points_equals_the_reference(q):
+    # any exponent map E2 = E1*A mod q-1, invertible or not, on m = 1, 2, 3;
+    # first coordinates spaced by a divisor p of q-1 repeat every column p times
+    rng, field = random.Random(q), make_field(q)
+    p = min(d for d in range(2, q) if (q - 1) % d == 0)
+    matched, tied = Counter(), Counter()
+    for m, k in product((1, 2, 3), range(2, 6)):
+        if k > (q - 1) ** m:
+            continue
+        spaced = [
+            [(p * a, *(rng.randint(-q, q) for _ in range(m - 1))) for a in range(k)]
+        ] if k <= (q - 1) // p else []
+        for pts in spaced + [_random_points(rng, q, m, k) for _ in range(3)]:
+            c1 = build_code(field, LatticePolytope(tuple(pts)))
+            for _ in range(3):
+                c2 = build_code(field, LatticePolytope(tuple(_related_points(rng, q, pts))))
+                if c1._column_key != c2._column_key:
+                    continue
+                assert witness_equivalence(c1, c2).detail.tolist() == _reference_perm(c1, c2)
+                matched[m] += 1
+                tied[m] += _repeats_a_column(c1)
+    assert all(matched[m] and tied[m] for m in (1, 2, 3)), (matched, tied)
+
+
+def test_a_faked_key_with_a_non_bijective_map_raises():
+    field = make_field(5)
+    c1, c2 = (build_code(field, empty_tetrahedron(s, t)) for s, t in ((0, 1), (1, 2)))
+    # E2 = E1*A mod 4 with A = diag(1, 2, 1): z = A*x hits half the torus,
+    # yet it maps each column of G2 to an equal column of G1
+    perm = classify._lattice_perm(c1, c2)
+    assert len(np.unique(perm)) < c1.n
+    assert np.array_equal(c1.G[:, perm], c2.G)
+    c2._column_key = c1._column_key
+    with pytest.raises(InternalCheckFailed, match="T.0,1. vs T.1,2.*not a bijection"):
+        witness_equivalence(c1, c2)
+    # the other way round, E1 = E2*A mod 4 has no solution
+    with pytest.raises(InternalCheckFailed, match="T.1,2. vs T.0,1.*no exponent map"):
+        witness_equivalence(c2, c1)
+
+
 @pytest.fixture
 def sorts(monkeypatch):
-    """Calls of np.lexsort, counted."""
+    """Calls of np.lexsort, np.argsort and np.sort, by name."""
     calls = []
-    lexsort = np.lexsort
+    for name in ("lexsort", "argsort", "sort"):
+        def counted(*args, _name=name, _sort=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _sort(*args, **kwargs)
 
-    def counted(keys, *args, **kwargs):
-        calls.append(len(keys))
-        return lexsort(keys, *args, **kwargs)
-
-    monkeypatch.setattr(np, "lexsort", counted)
+        monkeypatch.setattr(np, name, counted)
     return calls
 
 
-def test_census_sorts_each_code_once(sorts):
+def test_census_sorts_no_columns(sorts, monkeypatch):
     # GF(7) width 1: 18 entries, 3 witnessed against the first entry with
-    # their key; only the 5 entries whose column key another entry shares
-    # are ever sorted
+    # their key, one of them on codes with repeated columns
+    witnessed = []
+    witness = classify.witness_equivalence
+    monkeypatch.setattr(
+        classify, "witness_equivalence", lambda c1, c2: witnessed.append(c2) or witness(c1, c2)
+    )
     entries = census(make_field(7), 5)
-    keys = Counter(e.code._column_key for e in entries)
-    shared = [e for e in entries if keys[e.code._column_key] > 1]
-    assert len(entries) == 18
-    assert len(sorts) == len(shared) == 5
+    assert len(entries) == 18 and len(witnessed) == 3
+    assert sorts == []
 
 
 def test_witness_on_unmatched_codes_sorts_and_reads_nothing(sorts, monkeypatch):
@@ -165,17 +270,18 @@ def test_witness_on_unmatched_codes_sorts_and_reads_nothing(sorts, monkeypatch):
     c1, c2 = (build_code(field, empty_tetrahedron(1, t)) for t in (2, 3))
     assert witness_equivalence(c1, c2).evidence_kind == "INVARIANT"
     assert sorts == [] and read == []
-    assert "_column_order" not in vars(c1) and "_column_order" not in vars(c2)
+    assert "_tracked_basis" not in vars(c1) and "_tracked_basis" not in vars(c2)
 
 
-def test_witness_sorts_fresh_codes_once_each(sorts):
-    field = make_field(7)
-    c1, c2 = (build_code(field, empty_tetrahedron(s, 4)) for s in (1, 3))
+@pytest.mark.parametrize("q, specs", [(8, ("T(1,3)", "T(2,3)")), (7, ("T(1,4)", "T(3,4)"))])
+def test_witness_sorts_nothing(sorts, q, specs):
+    # GF(7) T(s,4): gcd(4, 6) = 2, so every column repeats twice
+    field = make_field(q)
+    c1, c2 = (build_code(field, parse_polytope_spec(spec)) for spec in specs)
     assert witness_equivalence(c1, c2).status == EQUIVALENT
-    assert sorts == [4, 4]
     assert witness_equivalence(c2, c1).status == EQUIVALENT
-    assert sorts == [4, 4]
-    assert not c1._column_order.flags.writeable
+    assert sorts == []
+    assert _repeats_a_column(c1) == (q == 7)
 
 
 @pytest.mark.parametrize("q, spec", [(5, "T(1,2)"), (7, "P21(1,3)"), (8, "T(1,3)")])

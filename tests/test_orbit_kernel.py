@@ -17,7 +17,13 @@ from toric3.cli import main
 from toric3.codes import _orbit_box, build_code
 from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
-from toric3.polytopes import LatticePolytope, embedded_polygon, parse_polytope_spec
+from toric3.polytopes import (
+    FAMILIES,
+    LatticePolytope,
+    embedded_polygon,
+    parameter_sweep,
+    parse_polytope_spec,
+)
 
 from oracle import projective_reference
 
@@ -127,6 +133,21 @@ def test_representatives_run_in_mask_then_c_order(q, poly):
             classes.append((q - 1) ** (len(support) - 1) // prod(box))
     got = [np.concatenate(a).tolist() for a in zip(*code._zero_counts())]
     assert got == [zeros, classes]
+
+
+@pytest.mark.parametrize("q, dim", [(7, 4), (9, 4), (16, 4), (7, 5), (9, 5), (16, 5)])
+def test_a_support_box_is_one_then_its_translated_box(q, dim):
+    # the kernel's box sides: the column of ones of H_S is the pivot at the
+    # first point p of S, and the other sides are the box of S - p
+    for family, s, t in parameter_sweep(q, dim):
+        points = FAMILIES[family].make(s, t).points
+        for mask in range(1, 2 ** len(points)):
+            first, *rest = [p for i, p in enumerate(points) if mask >> i & 1]
+            hom = _orbit_box([(1, *p) for p in (first, *rest)], q - 1)
+            diffs = _orbit_box([[a - b for a, b in zip(p, first)] for p in rest], q - 1)
+            assert [abs(b[i]) for i, b in enumerate(hom)] == [1] + [
+                abs(b[i]) for i, b in enumerate(diffs)
+            ]
 
 
 def test_product_theorem_at_q32():
