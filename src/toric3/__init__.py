@@ -6,10 +6,8 @@ classification with constructive witnesses.
 """
 
 from .classify import (
-    ColumnPartition,
     EquivalenceVerdict,
     census,
-    column_partition,
     dim4_gcd_corollary,
     dim4_theorem_verdict,
     dim5_theorem_verdict,
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineUnimodularMap",
-    "ColumnPartition",
     "DistanceResult",
     "EquivalenceVerdict",
     "FieldSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "apply_map",
     "build_code",
     "census",
-    "column_partition",
     "degenerate_distance",
     "dim4_distance",
     "dim4_gcd_corollary",

@@ -27,20 +27,18 @@ from math import gcd, prod
 
 import numpy as np
 
-from .codes import ToricCode, _log_sums, _torus_logs, build_code
+from .codes import ToricCode, _log_sums, build_code
 from .errors import (
     InternalCheckFailed,
     InvalidParams,
     ShapeMismatch,
     TheoremWitnessMismatch,
-    UnsupportedFamily,
 )
 from .formulas import distance_formula
 from .galois import FieldSpec
 from .polytopes import (
     EMPTY_TETRA,
     FAMILIES,
-    SIG21,
     WIDTH1_SIGNATURES,
     LatticePolytope,
     parameter_sweep,
@@ -67,31 +65,6 @@ class EquivalenceVerdict:
             name, va, vb = self.detail
             d["invariant"] = {"name": name, "a": va, "b": vb}
         return d
-
-
-@dataclass(frozen=True)
-class ColumnPartition:
-    """Columns grouped by (x, z, y^t)."""
-
-    t: int
-    cells: dict
-
-
-def column_partition(code: ToricCode) -> ColumnPartition:
-    """Partition of the torus columns by first coordinate, last
-    coordinate, and the t-th power of the middle one."""
-    fam = code.polytope.family
-    if fam not in (EMPTY_TETRA, SIG21):
-        raise UnsupportedFamily(f"column partition is defined for T and P21, not {fam}")
-    _, t = code.polytope.params
-    exp, n1 = code.field.exp_table, code.field.q - 1
-    # x = alpha^i, y = alpha^j, z = alpha^l per column, so y^t = alpha^(j*t)
-    i, j, l = _torus_logs(n1, code.m)
-    keys = zip(exp[i].tolist(), exp[l].tolist(), exp[j * t % n1].tolist())
-    cells: dict = {}
-    for idx, key in enumerate(keys):
-        cells.setdefault(key, []).append(idx)
-    return ColumnPartition(t, cells)
 
 
 def _lattice_perm(c1: ToricCode, c2: ToricCode) -> np.ndarray | None:

@@ -1,8 +1,10 @@
 """Independent references for the generator matrix, the enumeration
 kernel, the census grouping, the census parameter sweeps and the
-lattice determinants, kept for tests only."""
+lattice determinants, and the column partition of the T and P21 codes,
+kept for tests only."""
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -10,8 +12,9 @@ import numpy as np
 
 from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
 from toric3.codes import _torus_logs, build_code
+from toric3.errors import UnsupportedFamily
 from toric3.galois import make_field
-from toric3.polytopes import SIG21, SIG22, SIG31, SIG32
+from toric3.polytopes import EMPTY_TETRA, SIG21, SIG22, SIG31, SIG32
 
 
 def generator_matrix_reference(field, exponent_vectors):
@@ -154,3 +157,28 @@ def hull_reference(v):
                 if ok:
                     inside.append(p)
     return inside
+
+
+@dataclass(frozen=True)
+class ColumnPartition:
+    """Columns grouped by (x, z, y^t)."""
+
+    t: int
+    cells: dict
+
+
+def column_partition(code) -> ColumnPartition:
+    """Partition of the torus columns by first coordinate, last
+    coordinate, and the t-th power of the middle one."""
+    fam = code.polytope.family
+    if fam not in (EMPTY_TETRA, SIG21):
+        raise UnsupportedFamily(f"column partition is defined for T and P21, not {fam}")
+    _, t = code.polytope.params
+    exp, n1 = code.field.exp_table, code.field.q - 1
+    # x = alpha^i, y = alpha^j, z = alpha^l per column, so y^t = alpha^(j*t)
+    i, j, l = _torus_logs(n1, code.m)
+    keys = zip(exp[i].tolist(), exp[l].tolist(), exp[j * t % n1].tolist())
+    cells: dict = {}
+    for idx, key in enumerate(keys):
+        cells.setdefault(key, []).append(idx)
+    return ColumnPartition(t, cells)

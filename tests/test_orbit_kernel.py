@@ -14,7 +14,7 @@ import pytest
 from toric3 import codes
 from toric3.classify import _census_entries
 from toric3.cli import main
-from toric3.codes import _orbit_box, build_code
+from toric3.codes import _box_sides, _orbit_box, build_code
 from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -137,8 +137,8 @@ def test_representatives_run_in_mask_then_c_order(q, poly):
 
 @pytest.mark.parametrize("q, dim", [(7, 4), (9, 4), (16, 4), (7, 5), (9, 5), (16, 5)])
 def test_a_support_box_is_one_then_its_translated_box(q, dim):
-    # the kernel's box sides: the column of ones of H_S is the pivot at the
-    # first point p of S, and the other sides are the box of S - p
+    # a lemma on support boxes: the column of ones of H_S is the pivot at
+    # the first point p of S, and the other sides are the box of S - p
     for family, s, t in parameter_sweep(q, dim):
         points = FAMILIES[family].make(s, t).points
         for mask in range(1, 2 ** len(points)):
@@ -148,6 +148,65 @@ def test_a_support_box_is_one_then_its_translated_box(q, dim):
             assert [abs(b[i]) for i, b in enumerate(hom)] == [1] + [
                 abs(b[i]) for i, b in enumerate(diffs)
             ]
+
+
+def orbit_box_sides(points, n1):
+    """_box_sides the slow way: one _orbit_box of H_S per support."""
+    k = len(points)
+    sides = np.ones((2**k - 1, k), dtype=np.int64)
+    for mask in range(1, 2**k):
+        support = [i for i in range(k) if mask >> i & 1]
+        pivots = _orbit_box([(1, *points[i]) for i in support], n1)
+        sides[mask - 1, support] = [abs(b[i]) for i, b in enumerate(pivots)]
+    return sides
+
+
+@pytest.mark.parametrize("q, dim", [(7, 4), (9, 4), (16, 4), (7, 5), (9, 5), (16, 5)])
+def test_box_sides_recurrence_matches_one_reduction_per_support(q, dim):
+    for family, s, t in parameter_sweep(q, dim):
+        points = FAMILIES[family].make(s, t).points
+        assert np.array_equal(_box_sides(points, q - 1), orbit_box_sides(points, q - 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_box_sides_recurrence_on_random_point_sets(m):
+    # coordinates well past q-1, repeated points and q-1 = 1 included
+    rng = random.Random(m)
+    for _ in range(150):
+        k, n1 = rng.randint(1, 6), rng.randint(1, 63)
+        points = [tuple(rng.randint(-70, 70) for _ in range(m)) for _ in range(k)]
+        if rng.random() < 0.2:
+            points[-1] = points[0]
+        assert np.array_equal(_box_sides(points, n1), orbit_box_sides(points, n1)), (points, n1)
+
+
+@pytest.mark.parametrize("q,spec", [(7, "P32(1,1)"), (9, "W2:9"), (16, "T(1,9)"), (8, "E:3")])
+def test_classes_per_orbit_by_orbit_stabilizer(q, spec):
+    # the stabilizer of a codeword of support S in F_q* x torus is one unit
+    # per torus point at which S's monomials agree, so an orbit holds
+    # (q-1)^(m+1) / agree codewords; N(S) orbits share the (q-1)^|S| of
+    # support S, so (q-1)^(|S|-1) / N(S) projective classes per orbit is
+    # n / agree
+    code = build_code(make_field(q), parse_polytope_spec(spec))
+    sides = _box_sides(code.polytope.points, q - 1)
+    for mask in range(1, 2**code.k):
+        support = [i for i in range(code.k) if mask >> i & 1]
+        agree = np.count_nonzero((code.G[support] == code.G[support[0]]).all(axis=0))
+        orbits = int(sides[mask - 1].prod())
+        assert (q - 1) ** (len(support) - 1) % orbits == 0
+        assert (q - 1) ** (len(support) - 1) // orbits * agree == code.n, support
+
+
+@pytest.mark.parametrize("q,spec", [(7, "P32(1,1)"), (16, "T(1,9)")])
+def test_zero_counts_per_row_equal_the_whole_block_count(monkeypatch, q, spec):
+    code = build_code(make_field(q), parse_polytope_spec(spec))
+
+    def stream(width):
+        monkeypatch.setattr(codes, "_ROW_COUNT_WIDTH", width)
+        return [np.concatenate(a) for a in zip(*code._zero_counts())]
+
+    whole, per_row = stream(code.n + 1), stream(code.n)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, per_row))
 
 
 def test_product_theorem_at_q32():
