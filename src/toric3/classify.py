@@ -3,9 +3,12 @@
 Two routes are kept deliberately independent and cross-checked:
 
 * theorem verdicts — the gcd / residue criteria for empty tetrahedra
-  and the width-1 five-point propositions;
-* a constructive witness test — equal column keys (the Hermite basis of
-  each code's exponent lattice), so equal column multisets, give an
+  and the width-1 five-point propositions, all reached through
+  ``theorem_verdict``, by ``equiv``, the census and both parameter entries
+  alike; a tagged polytope met its family's (s, t) rule when it was made,
+  so no criterion checks it again;
+* a constructive witness test — equal column keys (the Hermite normal
+  form of each code's exponent lattice), so equal column multisets, give an
   exponent map E2 = E1*A mod q-1 and from it, with no sort, the column
   permutation a stable sort of both column lists would give (the
   rank-in-fiber argument is in ``_lattice_perm``), checked on G with the
@@ -39,11 +42,13 @@ from .galois import FieldSpec
 from .polytopes import (
     EMPTY_TETRA,
     FAMILIES,
+    SIG32,
     WIDTH1_SIGNATURES,
     LatticePolytope,
+    empty_tetrahedron,
     parameter_sweep,
     white_canonical,
-    width1_tag,
+    width1_representative,
 )
 
 EQUIVALENT = "EQUIVALENT"
@@ -205,14 +210,12 @@ def dim4_theorem_verdict(
     parameters differ no combined criterion is stated; the caller falls
     back to the witness test.
     """
-    tetra = FAMILIES[EMPTY_TETRA]
-    tetra.check(s1, t1)
-    tetra.check(s2, t2)
-    return _dim4_criterion(q, s1, t1, s2, t2)
+    return theorem_verdict(q, empty_tetrahedron(s1, t1), empty_tetrahedron(s2, t2))
 
 
-def _dim4_criterion(q: int, s1: int, t1: int, s2: int, t2: int) -> EquivalenceVerdict:
-    """``dim4_theorem_verdict`` on parameters already checked."""
+def _dim4_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
+    """``dim4_theorem_verdict`` on two empty tetrahedra."""
+    (s1, t1), (s2, t2) = pa.params, pb.params
     if t1 == t2:
         t = t1
         g = gcd(t, q - 1)
@@ -257,19 +260,19 @@ def dim5_theorem_verdict(
     signature or parameter pair that names no polytope raises
     InvalidParams.
     """
-    width1_tag(sig_a, *params_a)
-    width1_tag(sig_b, *params_b)
-    return _dim5_criterion(q, sig_a, params_a, sig_b, params_b)
+    pa = width1_representative(sig_a, *params_a)
+    return theorem_verdict(q, pa, width1_representative(sig_b, *params_b))
 
 
-def _dim5_criterion(q, sig_a, params_a, sig_b, params_b) -> EquivalenceVerdict:
-    """``dim5_theorem_verdict`` on parameters already checked."""
-    if sig_a != sig_b:
+def _dim5_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
+    """``dim5_theorem_verdict`` on two width-1 representatives; distinct
+    families have distinct signatures."""
+    if pa.family != pb.family:
         return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "distinct-signature")
-    if sig_a in ((2, 2), (3, 1)):
+    if not pa.params:  # P22 and P31, the families without parameters
         return EquivalenceVerdict(EQUIVALENT, "THEOREM", "single-class-signature")
-    (sa, ta), (sb, tb) = params_a, params_b
-    if sig_a == (3, 2):
+    (sa, ta), (sb, tb) = pa.params, pb.params
+    if pa.family == SIG32:
         if (sa, ta) == (sb, tb):
             return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(3,2):identical-params")
         return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "(3,2):distinct-params")
@@ -288,29 +291,14 @@ def _dim5_criterion(q, sig_a, params_a, sig_b, params_b) -> EquivalenceVerdict:
 
 
 def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
-    """The theorem verdict for two family representatives: the dim-4
-    criteria for two empty tetrahedra, the width-1 criteria for two
-    width-1 representatives, INCONCLUSIVE for any other pair.  Both
-    polytopes' (s, t) rules are checked, as by the criteria's own entries."""
-    return _theorem_verdict(q, pa, pb, dim4_theorem_verdict, dim5_theorem_verdict)
-
-
-def _theorem_verdict(
-    q: int, pa: LatticePolytope, pb: LatticePolytope, dim4=_dim4_criterion, dim5=_dim5_criterion
-) -> EquivalenceVerdict:
-    """``theorem_verdict`` through the criteria ``dim4`` and ``dim5``, by
-    default unchecked: the census's polytopes were built by checked
-    constructors, so it checks each tuple once, not once per pair."""
+    """The theorem verdict for two polytopes, the one dispatch to the
+    criteria: the dim-4 criteria for two empty tetrahedra, the width-1
+    criteria for two width-1 representatives, INCONCLUSIVE for any other
+    pair.  A tagged polytope met its family's rule when it was made."""
     if pa.family == EMPTY_TETRA and pb.family == EMPTY_TETRA:
-        return dim4(q, *pa.params, *pb.params)
+        return _dim4_criterion(q, pa, pb)
     if pa.family in WIDTH1_SIGNATURES and pb.family in WIDTH1_SIGNATURES:
-        return dim5(
-            q,
-            WIDTH1_SIGNATURES[pa.family],
-            pa.params or (0, 0),
-            WIDTH1_SIGNATURES[pb.family],
-            pb.params or (0, 0),
-        )
+        return _dim5_criterion(q, pa, pb)
     return EquivalenceVerdict(INCONCLUSIVE, "NONE")
 
 
@@ -380,7 +368,7 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
-            thm = _theorem_verdict(q, a.polytope, b.polytope)
+            thm = theorem_verdict(q, a.polytope, b.polytope)
             if thm.status == INEQUIVALENT and a.code is b.code:
                 raise mismatch(a, b, f"theorem says {thm.status} ({thm.detail}), "
                                f"witness says {EQUIVALENT}")

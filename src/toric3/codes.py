@@ -278,18 +278,10 @@ class ToricCode:
 
     @cached_property
     def _column_key(self) -> tuple[tuple[int, ...], ...]:
-        """Hermite basis of the lattice E*Z^m + (q-1)*Z^k, E the points as
-        rows.  The logs of G's columns run over its residues mod q-1, each
-        equally often, so keys are equal iff column multisets are."""
-        basis = _orbit_box(self.polytope.points, self.field.q - 1)
-        for i, b in enumerate(basis):
-            if b[i] < 0:
-                b[:] = [-a for a in b]
-            # 0 <= row[i] < b[i] in every earlier row
-            for row in basis[:i]:
-                c = row[i] // b[i]
-                row[:] = [a - c * e for a, e in zip(row, b)]
-        return tuple(map(tuple, basis))
+        """Hermite normal form of the lattice E*Z^m + (q-1)*Z^k, E the
+        points as rows.  The logs of G's columns run over its residues mod
+        q-1, each equally often, so keys are equal iff column multisets are."""
+        return tuple(map(tuple, _orbit_box(self.polytope.points, self.field.q - 1)))
 
     @cached_property
     def _tracked_basis(self) -> tuple[list, list]:
@@ -299,18 +291,13 @@ class ToricCode:
         E*Z^m + (q-1)*Z^k while each generator carries an exponent vector
         c mod q-1.  Its first k pivots give the pairs (b, c) of basis, b
         triangular with b = E*c mod q-1.  Its last m pivots are zero on E's
-        rows; their c, with positive pivots d_j dividing q-1, form the
+        rows; their c, nonnegative with pivots d_j dividing q-1, form the
         triangular basis kernel of ker(E mod q-1) + (q-1)*Z^m.
         """
-        n1, k, m = self.field.q - 1, self.k, self.m
+        k, m = self.k, self.m
         eye = [[int(i == j) for j in range(m)] for i in range(m)]
-        pivots = _orbit_box([*self.polytope.points, *eye], n1)
-        basis = [(b[:k], b[k:]) for b in pivots[:k]]
-        kernel = []
-        for j, g in enumerate(pivots[k:]):
-            h = g[k:] if g[k + j] > 0 else [-a for a in g[k:]]
-            kernel.append([*h[: j + 1], *(a % n1 for a in h[j + 1 :])])
-        return basis, kernel
+        pivots = _orbit_box([*self.polytope.points, *eye], self.field.q - 1)
+        return [(b[:k], b[k:]) for b in pivots[:k]], [g[k:] for g in pivots[k:]]
 
     def dump_log_matrix(self) -> list[list[int]]:
         """Rows of discrete-log indices; every entry of G is a unit."""
@@ -378,15 +365,17 @@ def _wedge_steps(cols: int) -> np.ndarray:
 
 
 def _orbit_box(rows, n1: int) -> list[list[int]]:
-    """Triangular basis b of the lattice spanned by the columns of the
-    integer matrix ``rows`` (r rows) and by n1*Z^r, b[i] zero before i.
+    """Hermite normal form b of the lattice spanned by the columns of the
+    integer matrix ``rows`` (r rows) and by n1*Z^r: b[i] zero before i,
+    pivot h_i = b[i][i] > 0, and 0 <= b[j][i] < h_i in every earlier row j.
 
-    With h_i = |b[i][i]|, the box 0 <= y_i < h_i holds exactly one point
-    of each coset of the lattice in Z^r, so prod(h) is its index.
+    The box 0 <= y_i < h_i holds exactly one point of each coset of the
+    lattice in Z^r, so prod(h) is its index, and each h_i divides n1.
     Integer echelon reduction: per column, Euclid on the remaining
-    generators until one is nonzero there, the pivot b[i].  Its callers
-    are ``ToricCode._column_key`` and ``ToricCode._tracked_basis``; the
-    kernel's boxes come from ``_box_sides``, which tests check against it.
+    generators until one is nonzero there, the pivot b[i], then its sign
+    and the entries above it.  The form is unique to the lattice.  Its
+    callers are ``ToricCode._column_key`` and ``ToricCode._tracked_basis``;
+    the kernel's boxes come from ``_box_sides``, which tests check against it.
     """
     r = len(rows)
     gens = [list(col) for col in zip(*rows)]
@@ -399,7 +388,11 @@ def _orbit_box(rows, n1: int) -> list[list[int]]:
                 if g is not pivot:
                     c = g[col] // pivot[col]
                     g[:] = [a - c * b for a, b in zip(g, pivot)]
-        pivots.append(live[0])
+        b = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+        for row in pivots:
+            c = row[col] // b[col]
+            row[:] = [a - c * e for a, e in zip(row, b)]
+        pivots.append(b)
         gens = [g for g in gens if g is not live[0]]
     return pivots
 

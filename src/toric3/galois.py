@@ -163,6 +163,9 @@ class FieldSpec:
         return int(self.log_table[a])
 
     def exp(self, i: int) -> int:
+        """alpha^i for any integer i, negative included."""
+        if not isinstance(i, (int, np.integer)):
+            raise InvalidParams(f"exponents are integers; got {i!r}")
         return int(self.exp_table[i % (self.q - 1)])
 
     def units(self) -> list[int]:

@@ -59,7 +59,9 @@ class LatticePolytope:
     """Ordered list of lattice points plus family metadata.
 
     The point order is fixed by the defining family and determines the
-    generator-matrix row order downstream.
+    generator-matrix row order downstream.  A polytope tagged with a family
+    of a census is checked against the family's rule as it is made, so
+    every consumer of its params can trust them.
     """
 
     points: tuple[Point, ...]
@@ -67,6 +69,13 @@ class LatticePolytope:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
+        fam = FAMILIES.get(self.family)
+        if fam is not None and (fam.admits or fam.signature):
+            # the constructors' check and message: a missing parameter is 0
+            fam.check(*(*self.params, 0, 0)[:2])
+            arity = 2 if fam.admits else 0
+            if len(self.params) != arity:
+                raise InvalidParams(f"{self.family} takes {arity} parameters; got {self.params}")
         if len(set(self.points)) != len(self.points):
             raise InvalidParams("polytope points must be pairwise distinct")
 
@@ -92,10 +101,14 @@ class AffineUnimodularMap:
     shift: Point
 
     def __post_init__(self):
+        if len(self.matrix) != 3:
+            raise DegenerateConfiguration(f"a map of Z^3 needs 3 matrix rows; got {len(self.matrix)}")
+        _require_3d((*self.matrix, self.shift))
         if abs(det3(*self.matrix)) != 1:
             raise InvalidParams("matrix must have determinant +-1")
 
     def apply_point(self, p: Point) -> Point:
+        _require_3d((p,))
         m = self.matrix
         return tuple(
             m[r][0] * p[0] + m[r][1] * p[1] + m[r][2] * p[2] + self.shift[r]
@@ -141,7 +154,6 @@ class Signature:
 
 def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
     """T(s,t) = Conv{(0,0,0),(1,0,0),(0,0,1),(s,t,1)}, gcd(s,t)=1."""
-    FAMILIES[EMPTY_TETRA].check(s, t)
     return LatticePolytope(
         ((0, 0, 0), (1, 0, 0), (0, 0, 1), (s, t, 1)), EMPTY_TETRA, (s, t)
     )
@@ -150,24 +162,24 @@ def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
 def width1_tag(sig: tuple[int, int], s: int = 0, t: int = 0) -> str:
     """The tag of the width-1 family with signature ``sig``, once (s, t)
     passes its rule."""
+    return width1_representative(sig, s, t).family
+
+
+def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
+    """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or
+    (3,2); (s, t) = (0, 0), the default, for the two without parameters."""
     try:
         tag = _SIGNATURE_TAGS[sig]
     except (KeyError, TypeError):  # TypeError: a list or other unhashable sig
         raise InvalidParams(f"unknown width-1 signature {sig}") from None
-    FAMILIES[tag].check(s, t)
-    return tag
-
-
-def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
-    """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or (3,2)."""
-    tag = width1_tag(sig, s, t)
     points = {
         SIG21: ((0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (s, t, 1)),
         SIG22: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
         SIG31: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)),
         SIG32: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (s, t, 1)),
     }[tag]
-    return LatticePolytope(points, tag, (s, t) if FAMILIES[tag].admits else ())
+    # (0, 0) is no parameters, which P22 and P31 take; the rule sees the rest
+    return LatticePolytope(points, tag, (s, t) if s or t else ())
 
 
 _WIDTH2_ROWS: tuple[tuple[Point, ...], ...] = (
@@ -233,8 +245,9 @@ def embedded_polygon(i: int) -> LatticePolytope:
 class Family:
     """A named family: its spec format, one ``%d`` per parameter, its
     constructor, and the signature of the width-1 families.  A family with
-    parameters (s, t) also carries their rule: ``admits``, a predicate cheap
-    enough to run on every census pair, and ``needs``, the rule in words."""
+    parameters (s, t) also carries their rule: ``admits``, a predicate that
+    every ``LatticePolytope`` with the family's tag runs as it is made, and
+    ``needs``, the rule in words."""
 
     spec: str
     make: Callable[..., LatticePolytope]

@@ -1,7 +1,7 @@
 """Independent references for the generator matrix, the enumeration
-kernel, the census grouping, the census parameter sweeps and the
-lattice determinants, and the column partition of the T and P21 codes,
-kept for tests only."""
+kernel, the census grouping, the census parameter sweeps, the lattice
+determinants and the Hermite normal form, and the column partition of the
+T and P21 codes, kept for tests only."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -157,6 +157,14 @@ def hull_reference(v):
                 if ok:
                     inside.append(p)
     return inside
+
+
+def is_hermite_normal_form(basis) -> bool:
+    """Triangular with positive pivots, each entry above a pivot in [0, pivot)."""
+    return all(
+        not any(b[:i]) and b[i] > 0 and all(0 <= row[i] < b[i] for row in basis[:i])
+        for i, b in enumerate(basis)
+    )
 
 
 @dataclass(frozen=True)

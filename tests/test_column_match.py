@@ -10,7 +10,7 @@ import pytest
 
 from toric3 import classify
 from toric3.classify import EQUIVALENT, _census_entries, census, witness_equivalence
-from toric3.codes import ToricCode, build_code
+from toric3.codes import ToricCode, _orbit_box, build_code
 from toric3.errors import InternalCheckFailed
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -20,6 +20,8 @@ from toric3.polytopes import (
     parameter_sweep,
     parse_polytope_spec,
 )
+
+from oracle import is_hermite_normal_form
 
 
 def _reference_perm(c1, c2):
@@ -103,6 +105,10 @@ def test_column_key_decides_equal_column_multisets(q):
             codes.append(build_code(field, LatticePolytope(tuple(pts))))
             for _ in range(2):
                 codes.append(build_code(field, LatticePolytope(tuple(_related_points(rng, q, pts)))))
+        for c in codes:
+            hnf = _orbit_box(c.polytope.points, q - 1)
+            assert is_hermite_normal_form(hnf), (c.polytope.points, hnf)
+            assert c._column_key == tuple(map(tuple, hnf))
         cols = [sorted(map(tuple, c.G.T.tolist())) for c in codes]
         for (c1, s1), (c2, s2) in combinations(zip(codes, cols), 2):
             pairs += 1
@@ -213,6 +219,10 @@ def test_witness_on_related_points_equals_the_reference(q):
                 if c1._column_key != c2._column_key:
                     continue
                 assert witness_equivalence(c1, c2).detail.tolist() == _reference_perm(c1, c2)
+                # the witness reads basis and kernel as one normal form gives them
+                basis, kernel = c1._tracked_basis
+                rows = [b + c for b, c in basis] + [[0] * c1.k + h for h in kernel]
+                assert is_hermite_normal_form(rows), rows
                 matched[m] += 1
                 tied[m] += _repeats_a_column(c1)
     assert all(matched[m] and tied[m] for m in (1, 2, 3)), (matched, tied)

@@ -278,3 +278,10 @@ def test_exp_takes_any_integer():
     assert f.exp(-1) == f.exp(6)
     assert f.exp(7 * 3 + 2) == f.exp(2)
     assert f.mul(np.int64(3), np.uint8(5)) == f.mul(3, 5)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "a", None])
+def test_exp_rejects_a_non_integer(bad):
+    # 1.5 used to fail on a table index, "a" in the % operator
+    with pytest.raises(InvalidParams, match="exponents are integers"):
+        make_field(8).exp(bad)

@@ -83,7 +83,7 @@ def _forced(monkeypatch, status):
     def forced(q, pa, pb):
         return EquivalenceVerdict(status, "THEOREM", "forced")
 
-    monkeypatch.setattr(classify, "_theorem_verdict", forced)
+    monkeypatch.setattr(classify, "theorem_verdict", forced)
 
 
 def _named(message, entries):

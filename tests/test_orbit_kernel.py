@@ -25,7 +25,7 @@ from toric3.polytopes import (
     parse_polytope_spec,
 )
 
-from oracle import projective_reference
+from oracle import is_hermite_normal_form, projective_reference
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -248,8 +248,8 @@ def orbit_of_zero(gens, r, n1):
 def check_orbit_box(r, n1, gens):
     rows = [[g[i] for g in gens] for i in range(r)]  # generators are columns
     pivots = _orbit_box(rows, n1)
-    assert all(not any(b[:i]) for i, b in enumerate(pivots))  # triangular
-    box = [abs(b[i]) for i, b in enumerate(pivots)]
+    assert is_hermite_normal_form(pivots), (n1, gens, pivots)
+    box = [b[i] for i, b in enumerate(pivots)]
     orbit = orbit_of_zero(gens, r, n1)
     assert prod(box) * len(orbit) == n1**r, (n1, gens)
     cosets = {

@@ -268,6 +268,18 @@ class TestApplyMap:
         with pytest.raises(InvalidParams):
             AffineUnimodularMap(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
 
+    @pytest.mark.parametrize("make", [
+        lambda ident: apply_map(ident, LatticePolytope(((0, 0), (1, 0)))),
+        lambda ident: apply_map(ident, LatticePolytope(((0, 0, 0, 0), (1, 0, 0, 5)))),
+        lambda ident: AffineUnimodularMap(((1, 0), (0, 1)), (0, 0, 0)),
+        lambda ident: AffineUnimodularMap(ident.matrix, (0, 0)),
+    ])
+    def test_non_3d_data_rejected(self, make):
+        # these used to fail on an index or in det3, or drop a coordinate
+        ident = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+        with pytest.raises(DegenerateConfiguration):
+            make(ident)
+
 
 class TestSpecGrammar:
     @pytest.mark.parametrize(

@@ -6,11 +6,19 @@ import re
 import pytest
 from oracle import dim4_parameter_sweep, dim5_parameter_sweep
 
-from toric3.classify import dim4_theorem_verdict, dim5_theorem_verdict, theorem_verdict
+from toric3 import classify
+from toric3.classify import (
+    INCONCLUSIVE,
+    EquivalenceVerdict,
+    census,
+    dim4_theorem_verdict,
+    dim5_theorem_verdict,
+    theorem_verdict,
+)
 from toric3.cli import main
 from toric3.errors import InvalidParams, NoFormulaForFamily
 from toric3.formulas import dim5_distance, distance_formula
-from toric3.galois import _factor_prime_power
+from toric3.galois import _factor_prime_power, make_field
 from toric3.polytopes import (
     CUSTOM,
     EMPTY_TETRA,
@@ -166,3 +174,38 @@ def test_rejections_keep_their_messages(tag, message):
     for call in calls:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             call()
+
+
+@pytest.mark.parametrize("tag,params", [(EMPTY_TETRA, (2, 4)), (SIG22, (5, 7)), (SIG21, (1,))])
+def test_a_tagged_polytope_meets_its_family_rule(tag, params):
+    # T(2,4) over GF(7) used to get a formula distance while theorem_verdict
+    # rejected it; now no polytope carries params its constructor rejects
+    fam = FAMILIES[tag]
+    points = (fam.make(1, 4) if fam.admits else fam.make()).points
+    with pytest.raises(InvalidParams) as made:
+        fam.make(*params)
+    with pytest.raises(InvalidParams, match=f"^{re.escape(str(made.value))}$"):
+        LatticePolytope(points, tag, params)
+
+
+@pytest.mark.parametrize("tag,params", [(EMPTY_TETRA, (1, 4, 3)), (SIG22, (0, 0)), (SIG32, ())])
+def test_a_tagged_polytope_has_its_family_arity(tag, params):
+    fam = FAMILIES[tag]
+    points = (fam.make(1, 4) if fam.admits else fam.make()).points
+    with pytest.raises(InvalidParams):
+        LatticePolytope(points, tag, params)
+
+
+def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
+    pairs = []
+
+    def recorded(q, pa, pb):
+        pairs.append((pa.describe(), pb.describe()))
+        return EquivalenceVerdict(INCONCLUSIVE, "NONE")
+
+    monkeypatch.setattr(classify, "theorem_verdict", recorded)
+    dim4_theorem_verdict(7, 1, 4, 3, 4)
+    dim5_theorem_verdict(7, (2, 2), (0, 0), (2, 1), (1, 3))
+    assert pairs == [("T(1,4)", "T(3,4)"), ("P22", "P21(1,3)")]
+    entries = census(make_field(5), 4)
+    assert len(pairs) == 2 + len(entries) * (len(entries) - 1) // 2

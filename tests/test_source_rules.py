@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import inspect
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,29 @@ def test_no_float_in_the_distance_path():
                 if isinstance(w, str) and ("float" in w or w in ("divide", "true_divide")):
                     bad.append((name, node.lineno, w))
     assert not bad, f"codes.py: float arithmetic at {bad}"
+
+
+CLASSIFY = Path(__file__).resolve().parents[1] / "src" / "toric3" / "classify.py"
+
+
+def test_classify_trusts_the_polytopes_it_is_given():
+    """A tagged polytope met its family's rule when it was made, so
+    classify.py checks no (s, t) rule itself, and no function there picks
+    its criteria by a function-valued default: the census, ``equiv`` and
+    both theorem entries reach the criteria through one dispatch."""
+    import toric3.classify
+
+    tree = ast.parse(CLASSIFY.read_text(), filename=str(CLASSIFY))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if (isinstance(f, ast.Attribute) and name == "check") or name == "width1_tag":
+                bad.append((node.lineno, name))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            for d in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                value = getattr(toric3.classify, d.id, None) if isinstance(d, ast.Name) else None
+                if isinstance(d, ast.Lambda) or inspect.isroutine(value):
+                    bad.append((d.lineno, "function default"))
+    assert not bad, f"classify.py: rule checks or function-valued defaults at {bad}"
