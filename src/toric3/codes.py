@@ -390,8 +390,8 @@ def _orbit_box(rows, n1: int) -> list[list[int]]:
                     g[:] = [a - c * b for a, b in zip(g, pivot)]
         b = live[0] if live[0][col] > 0 else [-a for a in live[0]]
         for row in pivots:
-            c = row[col] // b[col]
-            row[:] = [a - c * e for a, e in zip(row, b)]
+            if c := row[col] // b[col]:
+                row[:] = [a - c * e for a, e in zip(row, b)]
         pivots.append(b)
         gens = [g for g in gens if g is not live[0]]
     return pivots

@@ -71,8 +71,8 @@ class LatticePolytope:
     def __post_init__(self):
         fam = FAMILIES.get(self.family)
         if fam is not None and (fam.admits or fam.signature):
-            # the constructors' check and message: a missing parameter is 0
-            fam.check(*(*self.params, 0, 0)[:2])
+            s, t = (*self.params, 0, 0)[:2]  # a missing parameter is 0, as in the constructors
+            fam.check(s, t)
             arity = 2 if fam.admits else 0
             if len(self.params) != arity:
                 raise InvalidParams(f"{self.family} takes {arity} parameters; got {self.params}")
