@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from . import classify, formulas
 from .codes import build_code
@@ -162,7 +163,10 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every ``main`` call shares it."""
     ap = argparse.ArgumentParser(
         prog="toric3",
         description="Toric 3-fold codes of dimensions 4 and 5: distances, "

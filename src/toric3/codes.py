@@ -24,11 +24,17 @@ its index range alone, so a small code is evaluated in a single block.
 Two exact checks guard the enumerator: it sums to q^k, and its first
 moment is n(q-1)q^(k-1).
 
-G and the codewords are uint8, one byte per field element.  A codeword
-is a sum of k terms, each a mul-table row gathered at G's row; the sum
-is XOR in characteristic 2, a byte add reduced mod p in a prime field
-and an add-table gather otherwise.  Its zeros are counted over the
-whole block for short words and row by row from n = _ROW_COUNT_WIDTH on.
+G and the codewords are uint8, one byte per field element.  A
+representative's codeword is a sum of k terms alpha^d * G[r], or zero
+off its support, and the digit d at point r stays below the largest box
+side there, which is 1 at most points.  So a pass scales each row of G
+once per digit into one table, and builds every block from row copies
+of it; ``_words``, the evaluator of ``encode`` and ``count_zeros``,
+gathers each term from the mul table instead.  Both sum through
+``_add_words``: XOR in characteristic 2, a byte add reduced mod p in a
+prime field and an add-table gather otherwise.  A word's zeros are
+counted over the whole block for short words and row by row from
+n = _ROW_COUNT_WIDTH on.
 """
 
 from __future__ import annotations
@@ -45,7 +51,10 @@ from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
 # bounds a codeword block to _WORD_BYTES // (8 n) rows: its uint8 words take
-# an eighth of the budget, the term and gather index of one addition a half
+# an eighth of the budget, the term and gather index of one addition a half.
+# A pass adds its table of scaled rows of G, a fixed (1 + sum of top_r) * n
+# bytes, top_r the largest box side at point r: at most 32.3 MB on q <= 64,
+# for the segment E:1 at q=64 (tops 1, 1, 63, 63: 129 rows of 250 047 bytes)
 _WORD_BYTES = 1 << 25
 # from this word length on, a codeword's zeros are counted by one
 # count_nonzero call per row, which beats one over the whole block: 0.35 vs
@@ -170,19 +179,7 @@ class ToricCode:
         f = self.field
         words = f.mul_u8[block[:, 0]][:, self.G[0]]
         for r in range(1, self.k):
-            term = f.mul_u8[block[:, r]][:, self.G[r]]
-            if f.p == 2:
-                np.bitwise_xor(words, term, out=words)
-            elif f.m == 1:
-                # the sum s <= 2p - 2 fits a byte; s - p wraps past s when
-                # s < p <= 61, so the minimum of the two is s mod p
-                words += term
-                np.minimum(words, words - np.uint8(f.p), out=words)
-            else:
-                # a + b is entry a*q + b < 4096 of the flattened add table
-                index = np.multiply(words, f.q, dtype=np.uint16)
-                index += term
-                words = f.add_u8.reshape(-1)[index]
+            words = _add_words(f, words, f.mul_u8[block[:, r]][:, self.G[r]])
         return words
 
     def count_zeros(self, u) -> int:
@@ -204,10 +201,26 @@ class ToricCode:
         is built from its index range alone: a row's support is found on
         the cumulative orbit counts, its coefficients are alpha to the
         power of its mixed-radix digits, zero off the support.
+
+        The term of point r is one of few rows, since its digit stays
+        below top_r, the largest side at r over all supports.  One table,
+        built once per pass, holds a zero row, the term of a point off the
+        support, and then alpha^d * G[r] for d < top_r, point by point; a
+        block is k row copies from it, summed.
         """
-        k, n1 = self.k, self.field.q - 1
+        f, k, n1 = self.field, self.k, self.field.q - 1
         on = (np.arange(1, 2**k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
         sides = _box_sides(self.polytope.points, n1)
+        tops = sides.max(axis=0)
+        first = np.cumsum(tops) - tops + 1  # the table row of G[r] itself
+        table = np.zeros((1 + int(tops.sum()), self.n), dtype=np.uint8)
+        for g, top, row in zip(self.G, tops, first):
+            if top == 1:  # alpha^0 * G[r] is G[r] itself
+                table[row] = g
+            else:
+                # G's entries index the q columns, so "clip" never acts; it
+                # lets take write into the table with no buffered copy
+                np.take(f.mul_u8[f.exp_u8[:top]], g, 1, table[row : row + top], "clip")
         orbits = sides.prod(axis=1)
         classes = n1 ** (on.sum(axis=1, dtype=np.int64) - 1) // orbits
         strides = orbits[:, None] // np.cumprod(sides, axis=1)
@@ -218,8 +231,10 @@ class ToricCode:
             index = np.arange(lo, min(lo + rows, total))
             s = np.searchsorted(ends, index, side="right")  # each row's support
             digits = (index - starts[s])[:, None] // strides[s] % sides[s]
-            block = self.field.exp_u8[digits] * on[s]
-            words = self._words(block)
+            rank = (digits + first) * on[s]  # each term's table row
+            words = table[rank[:, 0]]
+            for r in range(1, k):
+                words = _add_words(f, words, table[rank[:, r]])
             if self.n < _ROW_COUNT_WIDTH:
                 zeros = np.count_nonzero(words == 0, axis=1)
             else:
@@ -302,6 +317,22 @@ class ToricCode:
     def dump_log_matrix(self) -> list[list[int]]:
         """Rows of discrete-log indices; every entry of G is a unit."""
         return self.field.log_table[self.G].tolist()
+
+
+def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """words + term in GF(q), entrywise on two uint8 arrays of one shape.
+    The sum overwrites words, except where it is read off the add table."""
+    if field.p == 2:
+        return np.bitwise_xor(words, term, out=words)
+    if field.m == 1:
+        # the sum s <= 2p - 2 fits a byte; s - p wraps past s when
+        # s < p <= 61, so the minimum of the two is s mod p
+        words += term
+        return np.minimum(words, words - np.uint8(field.p), out=words)
+    # a + b is entry a*q + b < 4096 of the flattened add table
+    index = np.multiply(words, field.q, dtype=np.uint16)
+    index += term
+    return field.add_u8.reshape(-1)[index]
 
 
 def _box_sides(points, n1: int) -> np.ndarray:

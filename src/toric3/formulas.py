@@ -14,7 +14,9 @@ from math import gcd, isqrt
 from .codes import DistanceResult
 from .errors import InvalidField, InvalidParams, NoFormulaForFamily, OutOfRange
 from .galois import _factor_prime_power
-from .polytopes import EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, width1_tag
+from .polytopes import (
+    EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, width1_representative
+)
 
 
 def _check_q(q: int, minimum: int = 3) -> None:
@@ -76,10 +78,17 @@ def degenerate_distance(i: int, q: int) -> DistanceResult:
 
 
 def dim5_distance(sig: tuple[int, int], q: int, s: int = 0, t: int = 0) -> DistanceResult:
-    """Distance (or bound interval) for the width-1 five-point codes."""
+    """Distance (or bound interval) for the width-1 five-point codes; the
+    representative it builds checks (s, t) against the signature's rule."""
     _check_q(q, 5)
+    return _width1_distance(width1_representative(sig, s, t), q)
+
+
+def _width1_distance(poly: LatticePolytope, q: int) -> DistanceResult:
+    """Closed forms for a width-1 representative, whose (s, t) met its
+    family's rule when it was made; q is checked by the caller."""
     n = (q - 1) ** 3
-    width1_tag(sig, s, t)
+    sig = WIDTH1_SIGNATURES[poly.family]
     if sig == (2, 1):
         d = n - 2 * (q - 1) ** 2
         return DistanceResult(d, d, "formula")
@@ -91,6 +100,7 @@ def dim5_distance(sig: tuple[int, int], q: int, s: int = 0, t: int = 0) -> Dista
         lower = n - (1 + q) * (q - 1) - _sqrt_bound_floor(q)
         return DistanceResult(max(1, lower), n, "bound")
     # (3, 2)
+    s, t = poly.params
     lower = n - (q - 2) ** 2 - (s + t) * q
     upper = n - (q - 1) * (q - 3) - q * gcd(s + t, q - 1)
     # distances of nonzero codes are >= 1; a nonpositive lower bound
@@ -106,5 +116,6 @@ def distance_formula(poly: LatticePolytope, q: int) -> DistanceResult:
     if poly.family == EMBEDDED_POLYGON:
         return degenerate_distance(poly.params[0], q)
     if poly.family in WIDTH1_SIGNATURES:
-        return dim5_distance(WIDTH1_SIGNATURES[poly.family], q, *poly.params)
+        _check_q(q, 5)
+        return _width1_distance(poly, q)
     raise NoFormulaForFamily(f"no closed-form distance for family {poly.family}")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from math import gcd
+from numbers import Integral
 
 from .errors import (
     DegenerateConfiguration,
@@ -159,12 +160,6 @@ def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
     )
 
 
-def width1_tag(sig: tuple[int, int], s: int = 0, t: int = 0) -> str:
-    """The tag of the width-1 family with signature ``sig``, once (s, t)
-    passes its rule."""
-    return width1_representative(sig, s, t).family
-
-
 def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
     """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or
     (3,2); (s, t) = (0, 0), the default, for the two without parameters."""
@@ -256,12 +251,13 @@ class Family:
     needs: str = ""
 
     def check(self, s: int, t: int) -> None:
-        """Raise InvalidParams unless the family has the parameters (s, t);
-        a family without a rule has none, written (0, 0)."""
+        """Raise InvalidParams unless the family has the parameters (s, t),
+        integers that meet its rule; a family without a rule has none,
+        written (0, 0)."""
         if self.admits is None:
             if (s, t) != (0, 0):
                 raise InvalidParams(f"{self.spec} takes no parameters; got ({s},{t})")
-        elif not self.admits(s, t):
+        elif not (isinstance(s, Integral) and isinstance(t, Integral) and self.admits(s, t)):
             raise InvalidParams(f"{self.needs}; got ({s},{t})")
 
 

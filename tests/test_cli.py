@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from toric3 import classify, formulas
-from toric3.cli import main
+from toric3.cli import build_parser, main
 from toric3.codes import DistanceResult, ToricCode
 from toric3.galois import make_field
 from toric3.polytopes import embedded_polygon
@@ -205,3 +205,34 @@ def test_verify_names_the_polygon_that_fails_the_product_theorem(monkeypatch, ca
     # the theorem holds, d3 = 4*d2, so the planar distance off by one adds 4
     d3 = brute(ToricCode(make_field(5), embedded_polygon(1))).value
     assert err == f"error: q=5: E:1: d3={d3} != (q-1)*d2={d3 + 4}\n"
+
+
+def test_main_shares_one_parser_across_calls(capsys):
+    # parsing leaves the cached parser as it was: calls in a row print and
+    # exit as calls that each build a fresh parser
+    argvs = [
+        ["field-info", "--q", "9"],
+        ["mindist", "--q", "5", "--poly", "P22", "--method", "formula"],
+        ["verify", "--q", "5,x"],
+        ["equiv", "--q", "5", "--a", "T(1,2)", "--b", "T(3,2)", "--method", "theorem"],
+        ["mindist", "--q", "5", "--poly", "T(2,4)"],
+        ["field-info", "--q", "9"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    in_a_row = [call(argv) for argv in argvs]
+    assert in_a_row == fresh
+    assert [c for c, _, _ in fresh] == [0, 0, ("exit", 2), 0, 2, 0]
+    assert build_parser() is build_parser()

@@ -305,3 +305,37 @@ def test_verify_up_to_q13(capsys):
     assert len(lines) == 4 * 5
     assert all(" PASS " in line for line in lines)
 
+
+@pytest.mark.parametrize("spec,d", [("P21(1,3)", 242109), ("W2:9", 245979), ("E:1", 238140)])
+def test_distances_at_q64(spec, d):
+    # k=5 codes whose boxes have sides of 3 and 63 (P21(1,3)) and the k=4
+    # segment E:1, whose pass scales G's rows the most times
+    code = build_code(make_field(64), parse_polytope_spec(spec))
+    assert code.min_distance_brute().value == d
+    assert sum(code.weight_enumerator().values()) == 64**code.k
+
+
+@pytest.mark.parametrize("q,spec", [(16, "T(1,9)"), (11, "P32(1,1)"), (9, "W2:9"), (7, "E:1")])
+def test_the_kernel_never_evaluates_through_words(monkeypatch, q, spec):
+    # the kernel copies rows of its scaled table; _words stays the
+    # evaluator of encode, count_zeros and the projective reference
+    code = build_code(make_field(q), parse_polytope_spec(spec))
+    want = projective_reference(code)
+
+    def refuse(self, block):
+        raise AssertionError("_invariants called ToricCode._words")
+
+    monkeypatch.setattr(codes.ToricCode, "_words", refuse)
+    assert kernel(code) == want
+
+
+def test_scaled_tables_fit_the_budget_at_q64():
+    # a pass keeps one zero row and top_r rows alpha^d * G[r] per point r,
+    # d below the largest box side top_r at r; k + sum(top_r) rows bound them
+    n1 = 63
+    polytopes = [FAMILIES[f].make(s, t).points for dim in (4, 5)
+                 for f, s, t in parameter_sweep(64, dim)]
+    polytopes += [parse_polytope_spec(f"W2:{i}").points for i in range(1, 10)]
+    polytopes += [parse_polytope_spec(f"E:{i}").points for i in range(1, 5)]
+    worst = max((len(p) + int(_box_sides(p, n1).max(axis=0).sum())) * n1**3 for p in polytopes)
+    assert worst <= 1 << 25

@@ -3,10 +3,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from oracle import dim4_parameter_sweep, dim5_parameter_sweep
 
-from toric3 import classify
+from toric3 import classify, formulas
 from toric3.classify import (
     INCONCLUSIVE,
     EquivalenceVerdict,
@@ -209,3 +210,38 @@ def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     assert pairs == [("T(1,4)", "T(3,4)"), ("P22", "P21(1,3)")]
     entries = census(make_field(5), 4)
     assert len(pairs) == 2 + len(entries) * (len(entries) - 1) // 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: empty_tetrahedron(1.0, 2),
+    lambda: empty_tetrahedron(1, "2"),
+    lambda: width1_representative((3, 2), 1, 2.5),
+    lambda: width1_representative((2, 1), 0.5, 3),
+    lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, (1, 2.0)),
+    lambda: dim5_distance((3, 2), 7, 1.0, 2),
+])
+def test_non_integer_params_are_invalid(make):
+    # the rule's gcd took a float with a bare TypeError
+    with pytest.raises(InvalidParams):
+        make()
+
+
+def test_integer_params_of_any_integer_type_are_accepted():
+    for s, t in [(1, 2), (np.int64(1), 2), (1, np.int32(2)), (True, 2)]:
+        assert empty_tetrahedron(s, t).params == (s, t)
+        assert width1_representative((3, 2), s, t).params == (s, t)
+
+
+def test_distance_formula_trusts_a_tagged_polytope(monkeypatch):
+    # a width-1 polytope met its rule when it was made, so its formula
+    # builds no second representative; dim5_distance builds one
+    polys = [FAMILIES[f].make(s, t) for f, s, t in parameter_sweep(13, 5)]
+    want = [dim5_distance(FAMILIES[p.family].signature, 13, *p.params) for p in polys]
+
+    def refuse(*args):
+        raise AssertionError("width1_representative called")
+
+    monkeypatch.setattr(formulas, "width1_representative", refuse)
+    assert [distance_formula(p, 13) for p in polys] == want
+    with pytest.raises(AssertionError):
+        dim5_distance((2, 2), 13)

@@ -52,7 +52,8 @@ def test_no_builtin_exception_raised(path):
 
 CODES = Path(__file__).resolve().parents[1] / "src" / "toric3" / "codes.py"
 DISTANCE_PATH = {
-    "build_generator_matrix", "_words", "_zero_counts", "_box_sides", "_wedge_steps", "_invariants"
+    "build_generator_matrix", "_words", "_add_words", "_zero_counts", "_box_sides", "_wedge_steps",
+    "_invariants",
 }
 
 
