@@ -208,8 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the cached parser holds each command as it was when the parser was
+    # built; looked up by name, a command replaced since then is the one run
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

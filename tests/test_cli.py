@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from toric3 import classify, formulas
+from toric3 import classify, cli, formulas
 from toric3.cli import build_parser, main
 from toric3.codes import DistanceResult, ToricCode
 from toric3.galois import make_field
@@ -236,3 +236,10 @@ def test_main_shares_one_parser_across_calls(capsys):
     assert in_a_row == fresh
     assert [c for c, _, _ in fresh] == [0, 0, ("exit", 2), 0, 2, 0]
     assert build_parser() is build_parser()
+
+
+def test_main_runs_a_command_replaced_after_the_parser_was_built(monkeypatch, capsys):
+    # a tracer or a test patches cli.cmd_* after the first main call
+    assert run(capsys, "field-info", "--q", "9")[0] == 0
+    monkeypatch.setattr(cli, "cmd_field_info", lambda args: print("patched") or 7)
+    assert run(capsys, "field-info", "--q", "9") == (7, "patched\n", "")
