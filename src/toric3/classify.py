@@ -17,9 +17,15 @@ Two routes are kept deliberately independent and cross-checked:
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
-a differing invariant upgrades it to INEQUIVALENT.  The census checks each
-code by one witness against the first code with its column key as it builds
-it, and keeps only the first: one kernel pass per key, theorems on every pair.
+a differing invariant upgrades it to INEQUIVALENT.
+
+The census keys each parameter tuple by its points alone (``_lattice_key``)
+and builds a code only for the first tuple with a key.  A later tuple with
+that key is proved to be the first code with its columns permuted, by an
+integer certificate when it holds (``_certifies``: E2 = E1*A mod q-1 with
+det A a unit mod q-1, no G read) and else by one witness checked on G.  The
+kept codes are enumerated together, one kernel pass per batch
+(``codes._fill_invariants``), and theorems are checked on every pair.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .codes import ToricCode, _log_sums, build_code
+from .codes import ToricCode, _fill_invariants, _lattice_key, _log_sums, build_code
 from .errors import (
     InternalCheckFailed,
     InvalidParams,
@@ -90,18 +96,11 @@ def _lattice_perm(c1: ToricCode, c2: ToricCode) -> np.ndarray | None:
     time, axis j along the kernel row with pivot j, which keeps the earlier
     axes and the column.  A need not be invertible.
     """
-    n1, m = c1.field.q - 1, c1.m
-    basis, kernel1 = c1._tracked_basis
-    # A[l][j]: back-substitute column j of E2 into E1's triangular basis
-    A = [[0] * m for _ in range(m)]
-    for j, v in enumerate(map(list, zip(*c2.polytope.points))):
-        for i, (b, c) in enumerate(basis):
-            a, rest = divmod(v[i], b[i])
-            if rest:
-                return None
-            v = [x - a * y for x, y in zip(v, b)]
-            for l in range(m):
-                A[l][j] = (A[l][j] + a * c[l]) % n1
+    n1 = c1.field.q - 1
+    kernel1 = c1._tracked_basis[1]
+    A = _exponent_map(c1, c2.polytope.points)
+    if A is None:
+        return None
     units = np.arange(n1, dtype=np.uint16)
     steps = np.array(A, dtype=np.uint16)[:, :, None] * units % n1
     z = _log_sums(steps, n1)  # (m, n): z = A*x at every column x
@@ -124,6 +123,61 @@ def _lattice_perm(c1: ToricCode, c2: ToricCode) -> np.ndarray | None:
         perm *= n1
         perm += axis
     return perm
+
+
+def _exponent_map(c1: ToricCode, points) -> list[list[int]] | None:
+    """An integer m x m matrix A with E2 = E1*A mod q-1, E2 the k points
+    ``points`` as rows and E1 those of c1, or None when none exists.
+
+    Each column of E2 is back-substituted into the triangular basis of
+    c1's ``_tracked_basis``, whose pairs (b, c) have b = E1*c mod q-1: the
+    column is a sum of a_i * b_i, so E1 times the sum of a_i * c_i."""
+    n1, m = c1.field.q - 1, c1.m
+    columns = []  # of A
+    for v in map(list, zip(*points)):
+        column = [0] * m
+        for i, (b, c) in enumerate(c1._tracked_basis[0]):
+            a, rest = divmod(v[i], b[i])
+            if rest:
+                return None
+            if a:
+                v = [x - a * y for x, y in zip(v, b)]
+                column = [x + a * y for x, y in zip(column, c)]
+        columns.append([x % n1 for x in column])
+    return [list(row) for row in zip(*columns)]
+
+
+def _certifies(c1: ToricCode, points, A: list[list[int]] | None) -> bool:
+    """True when A proves in integers that the code of ``points`` (k and m
+    as c1's) is c1 with its columns permuted: E2 = E1*A mod q-1, checked
+    entry by entry, and gcd(det A, q-1) = 1.  A is ``_exponent_map``'s,
+    None when there is none.
+
+    Column x of G2 is alpha^(E2*x) = alpha^(E1*(A*x)), column A*x of G1,
+    and x -> A*x mod q-1 is a bijection of the torus when det A is a unit
+    mod q-1.  So G2 = G1[:, A*x], and neither G is read: this is the
+    lattice-map argument of Little & Schwarz (2007).  The permutation may
+    differ from the witness's where columns repeat."""
+    if A is None:
+        return False
+    n1 = c1.field.q - 1
+    columns = list(zip(*A))
+    for e1, e2 in zip(c1.polytope.points, points):
+        for column, e in zip(columns, e2):
+            if (sum(a * b for a, b in zip(e1, column)) - e) % n1:
+                return False
+    return gcd(_det(A), n1) == 1
+
+
+def _det(A: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Laplace expansion along
+    its first row."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in A[1:]])
+        for j, a in enumerate(A[0])
+    )
 
 
 def _fiber_rank(kernel: list, n1: int) -> np.ndarray:
@@ -311,7 +365,7 @@ class CensusEntry:
     s: int
     t: int
     polytope: LatticePolytope
-    code: ToricCode = None  # first code with this column key; its kernel pass gives d_brute
+    code: ToricCode = None  # first code with this column key; its kernel batch gives d_brute
     d_brute: int = 0
     formula: object = None
     class_id: int = -1
@@ -334,24 +388,33 @@ class CensusEntry:
 
 
 def _census_entries(field: FieldSpec, dim: int):
-    """One entry per in-scope parameter tuple; a code with an earlier code's
-    column key is checked to be its column permutation, then dropped for it."""
+    """One entry per in-scope parameter tuple.  A tuple's column key is read
+    off its points (``_lattice_key``); only the first tuple with a key gets
+    a code.  A later tuple is that code with its columns permuted, proved
+    by an integer certificate, or else by one witness checked on its own
+    code; it then shares the first code.  One kernel pass per batch of the
+    kept codes gives every entry its d_brute."""
     q = field.q
     first, entries = {}, []
     for family, s, t in parameter_sweep(q, dim):
         poly = FAMILIES[family].make(s, t)
-        code = build_code(field, poly)
-        if (kept := first.setdefault(code._column_key, code)) is not code:
-            witness_equivalence(kept, code)
-        d_brute = kept.min_distance_brute().value
-        entries.append(CensusEntry(family, s, t, poly, kept, d_brute, distance_formula(poly, q)))
+        kept = first.get(key := _lattice_key(poly.points, q - 1))
+        if kept is None:
+            kept = first[key] = build_code(field, poly)
+        elif not _certifies(kept, poly.points, _exponent_map(kept, poly.points)):
+            witness_equivalence(kept, build_code(field, poly))
+        entries.append(CensusEntry(family, s, t, poly, kept, 0, distance_formula(poly, q)))
+    _fill_invariants(list(first.values()))
+    for e in entries:
+        e.d_brute = e.code.min_distance_brute().value
     return entries
 
 
 def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     """Set each entry's class_id by union-find, seeded with each entry's
-    parent the first entry with its code (entries share a code once its
-    witness is checked); a theorem EQUIVALENT joins two classes."""
+    parent the first entry with its code (entries share a code once their
+    merge is certified or witnessed); a theorem EQUIVALENT joins two
+    classes."""
     first: dict = {}
     parent = [first.setdefault(e.code, i) for i, e in enumerate(entries)]
 
@@ -386,9 +449,10 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
 
 def census(field: FieldSpec, dim: int):
     """Group every in-scope parameter tuple into monomial-equivalence
-    classes: a code with an earlier code's column key by one checked
-    witness as it is built, after which both entries share the first
-    code; any pair by a theorem EQUIVALENT verdict.  A theorem
+    classes: a tuple with an earlier tuple's column key by an integer
+    certificate or else one witness checked on G, after which both
+    entries share the first code; any pair by a theorem EQUIVALENT
+    verdict.  A theorem
     INEQUIVALENT between entries sharing a code, or a class whose weight
     enumerators differ, raises TheoremWitnessMismatch with reproduction data.
     """

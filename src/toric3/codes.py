@@ -18,18 +18,27 @@ coset, weighted by the coset size, gives the exact weight enumerator
 and distance; this is exact, not a heuristic.  The coset boxes of all
 supports come from one integer recurrence over the support masks, on
 orbit counts and gcds of maximal minors (``_box_sides``), not from a
-lattice reduction per support.  The representatives of all supports
-are numbered in one range, and each block of coefficients is built from
-its index range alone, so a small code is evaluated in a single block.
-Two exact checks guard the enumerator: it sums to q^k, and its first
+lattice reduction per support, for a whole stack of codes at once.
+
+The kernel runs on a batch of codes that share q, k and m: a census
+enumerates all the codes it keeps together (``_fill_invariants``), and a
+code asked alone is a batch of one (``_enumerate_batch``).  The
+representatives of all (code, support) pairs are numbered in one range,
+and each block of coefficients is built from its index range alone, so
+the small codes of a census are evaluated in a single block.  Two exact
+checks guard each code's enumerator: it sums to q^k, and its first
 moment is n(q-1)q^(k-1).
+
+A code's column key, the Hermite normal form of its exponent lattice mod
+q-1 (``_lattice_key``), is read off its points, so codes can be grouped
+by their column multisets before any G is built.
 
 G and the codewords are uint8, one byte per field element.  A
 representative's codeword is a sum of k terms alpha^d * G[r], or zero
 off its support, and the digit d at point r stays below the largest box
-side there, which is 1 at most points.  So a pass scales each row of G
-once per digit into one table, and builds every block from row copies
-of it; ``_words``, the evaluator of ``encode`` and ``count_zeros``,
+side there, which is 1 at most points.  So a pass scales each row of
+each G once per digit into one table, and builds every block from row
+copies of it; ``_words``, the evaluator of ``encode`` and ``count_zeros``,
 gathers each term from the mul table instead.  Both sum through
 ``_add_words``: XOR in characteristic 2, a byte add reduced mod p in a
 prime field and an add-table gather otherwise.  A word's zeros are
@@ -52,10 +61,19 @@ from .polytopes import LatticePolytope
 
 # bounds a codeword block to _WORD_BYTES // (8 n) rows: its uint8 words take
 # an eighth of the budget, the term and gather index of one addition a half.
+# Blocks this small fit the cache: a pass at q=64 takes 0.03-0.05 s for
+# P32(1,1) in 2-row blocks against 0.05-0.08 s in 16-row blocks (2 cores).
 # A pass adds its table of scaled rows of G, a fixed (1 + sum of top_r) * n
-# bytes, top_r the largest box side at point r: at most 32.3 MB on q <= 64,
-# for the segment E:1 at q=64 (tops 1, 1, 63, 63: 129 rows of 250 047 bytes)
-_WORD_BYTES = 1 << 25
+# bytes for one code, top_r the largest box side at point r: at most 32.3 MB
+# on q <= 64, for the segment E:1 at q=64 (tops 1, 1, 63, 63: 129 rows of
+# 250 047 bytes)
+_WORD_BYTES = 1 << 22
+# bounds a batch of codes enumerated in one pass, unless one code passes it
+# alone: its table (one zero row and every code's sum of top_r rows of n
+# bytes) and its int64 weight counts (n + 1 per code).  A census batch holds
+# all the kept codes up to q = 25 dim 4, 14 to 16 of them at q = 25 dim 5 and
+# 1 or 2 at q = 64 dim 4
+_BATCH_BYTES = 1 << 23
 # from this word length on, a codeword's zeros are counted by one
 # count_nonzero call per row, which beats one over the whole block: 0.35 vs
 # 2.3 ms for 16 x 250 047; the two are even at n = 1000, and per row is
@@ -154,6 +172,7 @@ class ToricCode:
         self.G.setflags(write=False)
         self.m = len(polytope.points[0])
         self.n = self.G.shape[1]
+        self._enumerated = None  # (d, enumerator), set by _enumerate_batch
 
     def columns(self):
         """Torus points as m-tuples, in column order."""
@@ -190,88 +209,15 @@ class ToricCode:
             raise ZeroPolynomial("the zero polynomial vanishes everywhere")
         return int(np.count_nonzero(self._words(block) == 0))
 
-    def _zero_counts(self):
-        """Yield (zeros, classes) arrays, one entry per torus orbit: the
-        zero count of its representative and its number of projective
-        classes.
-
-        The representatives of all supports are numbered in one range:
-        supports in mask order, each support's box in C order, its sides
-        from ``_box_sides`` for all supports at once.  A block
-        is built from its index range alone: a row's support is found on
-        the cumulative orbit counts, its coefficients are alpha to the
-        power of its mixed-radix digits, zero off the support.
-
-        The term of point r is one of few rows, since its digit stays
-        below top_r, the largest side at r over all supports.  One table,
-        built once per pass, holds a zero row, the term of a point off the
-        support, and then alpha^d * G[r] for d < top_r, point by point; a
-        block is k row copies from it, summed.
-        """
-        f, k, n1 = self.field, self.k, self.field.q - 1
-        on = (np.arange(1, 2**k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
-        sides = _box_sides(self.polytope.points, n1)
-        tops = sides.max(axis=0)
-        first = np.cumsum(tops) - tops + 1  # the table row of G[r] itself
-        table = np.zeros((1 + int(tops.sum()), self.n), dtype=np.uint8)
-        for g, top, row in zip(self.G, tops, first):
-            if top == 1:  # alpha^0 * G[r] is G[r] itself
-                table[row] = g
-            else:
-                # G's entries index the q columns, so "clip" never acts; it
-                # lets take write into the table with no buffered copy
-                np.take(f.mul_u8[f.exp_u8[:top]], g, 1, table[row : row + top], "clip")
-        orbits = sides.prod(axis=1)
-        classes = n1 ** (on.sum(axis=1, dtype=np.int64) - 1) // orbits
-        strides = orbits[:, None] // np.cumprod(sides, axis=1)
-        ends = np.cumsum(orbits)
-        starts, total = ends - orbits, int(ends[-1])
-        rows = max(1, _WORD_BYTES // (8 * self.n))
-        for lo in range(0, total, rows):
-            index = np.arange(lo, min(lo + rows, total))
-            s = np.searchsorted(ends, index, side="right")  # each row's support
-            digits = (index - starts[s])[:, None] // strides[s] % sides[s]
-            rank = (digits + first) * on[s]  # each term's table row
-            words = table[rank[:, 0]]
-            for r in range(1, k):
-                words = _add_words(f, words, table[rank[:, r]])
-            if self.n < _ROW_COUNT_WIDTH:
-                zeros = np.count_nonzero(words == 0, axis=1)
-            else:
-                zeros = self.n - np.array([np.count_nonzero(w) for w in words])
-            yield zeros, classes[s]
-
-    @cached_property
+    @property
     def _invariants(self) -> tuple[int, dict[int, int]]:
-        """(minimum distance, weight enumerator) from one kernel pass.
-
-        Lazy, so a code is only enumerated when asked.  Every projective
-        class contributes q-1 codewords of equal weight.  Two exact checks:
-        the enumerator sums to q^k, and its first moment is n(q-1)q^(k-1),
-        since every column of G is nonzero and so each coordinate is
-        nonzero on (q-1)q^(k-1) codewords.
-        """
-        q, k, n = self.field.q, self.k, self.n
-        per_weight = np.zeros(n + 1, dtype=np.int64)
-        # weights in order of first appearance, the enumerator's key order
-        seen = {0: None}
-        for zeros, classes in self._zero_counts():
-            weights = n - zeros
-            np.add.at(per_weight, weights, classes)
-            seen.update(dict.fromkeys(weights.tolist()))
-        counts = {w: int(per_weight[w]) * (q - 1) for w in seen}
-        counts[0] += 1  # the zero codeword
-        if sum(counts.values()) != q**k:
-            raise InternalCheckFailed(
-                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**k}"
-            )
-        moment = sum(w * c for w, c in counts.items())
-        if moment != n * (q - 1) * q ** (k - 1):
-            raise InternalCheckFailed(
-                f"weight enumerator has first moment {moment}, "
-                f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
-            )
-        return min(w for w in seen if w), counts
+        """(minimum distance, weight enumerator), from the kernel pass of
+        the batch the code was first enumerated in: a batch of one unless
+        ``_fill_invariants`` was given it with others.  Lazy, so a code is
+        only enumerated when asked."""
+        if self._enumerated is None:
+            _enumerate_batch([self], _box_sides([self.polytope.points], self.field.q - 1))
+        return self._enumerated
 
     def max_zeros(self) -> int:
         """max Z(f) over nonzero f in the span of P's monomials: n - d."""
@@ -293,10 +239,8 @@ class ToricCode:
 
     @cached_property
     def _column_key(self) -> tuple[tuple[int, ...], ...]:
-        """Hermite normal form of the lattice E*Z^m + (q-1)*Z^k, E the
-        points as rows.  The logs of G's columns run over its residues mod
-        q-1, each equally often, so keys are equal iff column multisets are."""
-        return tuple(map(tuple, _orbit_box(self.polytope.points, self.field.q - 1)))
+        """The column key of the code's points, ``_lattice_key``."""
+        return _lattice_key(self.polytope.points, self.field.q - 1)
 
     @cached_property
     def _tracked_basis(self) -> tuple[list, list]:
@@ -319,6 +263,144 @@ class ToricCode:
         return self.field.log_table[self.G].tolist()
 
 
+def _lattice_key(points, n1: int) -> tuple[tuple[int, ...], ...]:
+    """Column key of the code of ``points`` over GF(n1 + 1), read off the
+    points alone: the Hermite normal form of E*Z^m + (q-1)*Z^k, E the points
+    as rows.  The logs of G's columns run over its residues mod q-1, each
+    equally often, so two codes' keys are equal iff their column multisets
+    are."""
+    return tuple(map(tuple, _orbit_box(points, n1)))
+
+
+def _fill_invariants(codes) -> None:
+    """Set (minimum distance, weight enumerator) on each of a nonempty
+    list of codes that share one field, k and m.
+
+    One stacked ``_box_sides`` gives every code's boxes.  The codes are cut
+    into batches, in order, where a batch's table of scaled rows and weight
+    counts would pass _BATCH_BYTES (a code that passes it alone is a batch
+    alone), and each batch is one ``_enumerate_batch``.
+    """
+    f, k, m, n = codes[0].field, codes[0].k, codes[0].m, codes[0].n
+    if any((c.field.q, c.k, c.m) != (f.q, k, m) for c in codes):
+        raise ShapeMismatch("a kernel batch needs codes of one field, k and m")
+    sides = _box_sides([c.polytope.points for c in codes], f.q - 1)
+    # a code's table rows and weight counts, in bytes
+    sizes = sides.max(axis=1).sum(axis=1) * n + 8 * (n + 1)
+    cuts, used = [0], n  # the shared zero row
+    for i, size in enumerate(sizes.tolist()):
+        if i > cuts[-1] and used + size > _BATCH_BYTES:
+            cuts.append(i)
+            used = n
+        used += size
+    for lo, hi in zip(cuts, [*cuts[1:], len(codes)]):
+        _enumerate_batch(codes[lo:hi], sides[lo:hi])
+
+
+def _enumerate_batch(codes, sides) -> None:
+    """Set (minimum distance, weight enumerator) on each of a batch of
+    codes from one kernel pass, ``sides`` their stacked ``_box_sides``.
+
+    Every projective class contributes q-1 codewords of equal weight.  Two
+    exact checks per code: the enumerator sums to q^k, and its first moment
+    is n(q-1)q^(k-1), since every column of G is nonzero and so each
+    coordinate is nonzero on (q-1)q^(k-1) codewords.  The enumerator's keys
+    run in the order the code's weights are first met, as in a pass of the
+    code alone.
+    """
+    q, k, n = codes[0].field.q, codes[0].k, codes[0].n
+    per_weight = np.zeros((len(codes), n + 1), dtype=np.int64)
+    # each code's weights in order of first appearance, its key order
+    seen = [{0: None} for _ in codes]
+    for c, zeros, classes in _zero_counts(codes, sides):
+        weights = n - zeros
+        np.add.at(per_weight[c], weights, classes)
+        seen[c].update(dict.fromkeys(weights.tolist()))
+    for code, found, counted in zip(codes, seen, per_weight):
+        counts = {w: int(counted[w]) * (q - 1) for w in found}
+        counts[0] += 1  # the zero codeword
+        if sum(counts.values()) != q**k:
+            raise InternalCheckFailed(
+                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**k}"
+            )
+        moment = sum(w * c for w, c in counts.items())
+        if moment != n * (q - 1) * q ** (k - 1):
+            raise InternalCheckFailed(
+                f"weight enumerator has first moment {moment}, "
+                f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
+            )
+        code._enumerated = (min(w for w in found if w), counts)
+
+
+def _zero_counts(codes, sides):
+    """Yield (c, zeros, classes) for a batch of codes that share one field,
+    k and m: c a code's index in the batch, then two arrays with one entry
+    per torus orbit of that code, the zero count of the orbit's
+    representative and its number of projective classes.  A block yields
+    one run per code it holds rows of.  ``sides`` is the stacked
+    ``_box_sides`` of the codes' points.
+
+    The representatives of all (code, support) pairs are numbered in one
+    range: codes in batch order, each code's supports in mask order, each
+    support's box in C order.  A block is built from its index range
+    alone: a row's pair is found on the cumulative orbit counts, its
+    coefficients are alpha to the power of its mixed-radix digits, zero
+    off the support.  So a code's rows come in the order a batch of that
+    code alone gives them, whatever the batch and block bounds.
+
+    The term of point r of code c is one of few rows, since its digit
+    stays below top_cr, the largest side at r over the code's supports.
+    One table, built once per pass, holds one zero row, the term of a
+    point off the support, and then alpha^d * G_c[r] for d < top_cr, code
+    by code and point by point; a block is k row copies from it, summed.
+    """
+    f, k, n = codes[0].field, codes[0].k, codes[0].n
+    n1 = f.q - 1
+    on = _mask_tables(k)[0][1:]  # the points of each support
+    tops = sides.max(axis=1).ravel()  # per (code, point), G's rows in order
+    first = np.cumsum(tops) - tops + 1  # the table row of G_c[r] itself
+    table = np.zeros((1 + int(tops.sum()), n), dtype=np.uint8)
+    scales = f.mul_u8[f.exp_u8[: int(tops.max())]]  # row d: times alpha^d
+    for g, top, row in zip((g for c in codes for g in c.G), tops.tolist(), first.tolist()):
+        if top == 1:  # alpha^0 * G[r] is G[r] itself
+            table[row] = g
+        else:
+            # G's entries index the q columns, so "clip" never acts; it
+            # lets take write into the table with no buffered copy
+            np.take(scales[:top], g, 1, table[row : row + top], "clip")
+    # per (code, support) pair, code-major: a term's table row at digit 0,
+    # row 0 off the support, where the digit is 0 too
+    pair_first = (first.reshape(-1, 1, k) * on).reshape(-1, k)
+    pair_sides = sides.reshape(-1, k)
+    orbits = sides.prod(axis=2)
+    classes = (n1 ** (on.sum(axis=1, dtype=np.int64) - 1) // orbits).ravel()
+    orbits = orbits.ravel()
+    strides = orbits[:, None] // np.cumprod(pair_sides, axis=1)
+    ends = np.cumsum(orbits)
+    starts, total = ends - orbits, int(ends[-1])
+    code_ends = ends[len(on) - 1 :: len(on)].tolist()
+    c, rows = 0, max(1, _WORD_BYTES // (8 * n))
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        index = np.arange(lo, hi)
+        pair = np.searchsorted(ends, index, side="right")  # each row's pair
+        digits = (index - starts[pair])[:, None] // strides[pair] % pair_sides[pair]
+        rank = digits + pair_first[pair]  # each term's table row
+        words = table[rank[:, 0]]
+        for r in range(1, k):
+            words = _add_words(f, words, table[rank[:, r]])
+        if n < _ROW_COUNT_WIDTH:
+            zeros = np.count_nonzero(words == 0, axis=1)
+        else:
+            zeros = n - np.array([np.count_nonzero(w) for w in words])
+        block, at = classes[pair], lo
+        while at < hi:  # one run of rows per code in the block
+            end = min(hi, code_ends[c])
+            yield c, zeros[at - lo : end - lo], block[at - lo : end - lo]
+            at = end
+            c += end == code_ends[c]
+
+
 def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
     """words + term in GF(q), entrywise on two uint8 arrays of one shape.
     The sum overwrites words, except where it is read off the add table."""
@@ -336,8 +418,10 @@ def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndar
 
 
 def _box_sides(points, n1: int) -> np.ndarray:
-    """(2^k - 1, k) table: row S-1 holds the orbit box sides of support
+    """(..., 2^k - 1, k) table: row S-1 holds the orbit box sides of support
     mask S, 1 off S; their product N(S) is the number of torus orbits.
+    ``points`` is (..., k, m): one code's k points, or a stack of codes'
+    with the same k and m, each leading index one code.
 
     N(S) is the index of L_S = H_S*Z^(m+1) + n1*Z^|S| in Z^|S|, H_S one
     row (1, p) per point p of S: the gcd of the maximal minors of
@@ -350,10 +434,11 @@ def _box_sides(points, n1: int) -> np.ndarray:
     which one pass per point i over all masks unrolls, each mask with
     point i taking n1 * N of its mask without it.  The maximal minors of
     H_S are the wedge of its rows: those of S without its last point,
-    expanded by Laplace along that row.  Reducing H mod n1 keeps L_S, and
-    minors mod n1^(m+1) keep each term's gcd with n1^|S|, so whatever the
-    coordinates, the int64 values stay below (m+1)*n1^(m+2) and n1^k:
-    exact for every code whose G and pass fit in memory and time.
+    expanded by Laplace along that row, one matmul per point for the whole
+    stack.  Reducing H mod n1 keeps L_S, and minors mod n1^(m+1) keep each
+    term's gcd with n1^|S|, so whatever the coordinates, the int64 values
+    stay below (m+1)*n1^(m+2) and n1^k: exact for every code whose G and
+    pass fit in memory and time.
 
     The sides come from a prefix lemma.  A triangular basis of L_S (b_i
     zero before i, as ``_orbit_box`` gives) projects onto S's first j
@@ -362,23 +447,37 @@ def _box_sides(points, n1: int) -> np.ndarray:
     the side at point i is N(S & {0..i}) // N(S & {0..i-1}), the diagonal
     of ``_orbit_box`` for H_S without a reduction per support.
     """
-    k, cols = len(points), len(points[0]) + 1
-    h = np.array([(1, *p) for p in points], dtype=np.int64) % n1
-    # steps[i]: the wedge with row (1, p_i), as a matrix on the minors
-    steps = (h @ _wedge_steps(cols).reshape(cols, -1)).reshape(k, 2**cols, 2**cols)
+    e = np.asarray(points, dtype=np.int64)
+    *stack, k, m = e.shape
+    cols = m + 1
+    bits, upto, below = _mask_tables(k)
+    h = np.concatenate([np.ones((*stack, k, 1), dtype=np.int64), e], axis=-1) % n1
+    # steps[..., i, :, :]: the wedge with row (1, p_i), as a matrix on the minors
+    steps = (h @ _wedge_steps(cols).reshape(cols, -1)).reshape(*stack, k, 2**cols, 2**cols)
     modulus = n1**cols
-    minors = np.zeros((2**k, 2**cols), dtype=np.int64)
-    minors[0, 0] = 1
-    for i, step in enumerate(steps):
-        minors[1 << i : 2 << i] = minors[: 1 << i] @ step % modulus
-    size = (np.arange(2**k)[:, None] >> np.arange(k) & 1).sum(axis=1, dtype=np.int64)
-    index = np.gcd(np.gcd.reduce(minors, axis=1), n1**size)
+    minors = np.zeros((*stack, 2**k, 2**cols), dtype=np.int64)
+    minors[..., 0, 0] = 1
     for i in range(k):
-        pairs = index.reshape(-1, 2, 1 << i)  # [:, 1] has point i, [:, 0] not
-        pairs[:, 1] = np.gcd(pairs[:, 1], n1 * pairs[:, 0])
-    masks = np.arange(1, 2**k)[:, None]
+        minors[..., 1 << i : 2 << i, :] = minors[..., : 1 << i, :] @ steps[..., i, :, :] % modulus
+    index = np.gcd(np.gcd.reduce(minors, axis=-1), n1 ** bits.sum(axis=1, dtype=np.int64))
+    for i in range(k):
+        pairs = index.reshape(*stack, -1, 2, 1 << i)  # [..., 1, :] has point i, [..., 0, :] not
+        pairs[..., 1, :] = np.gcd(pairs[..., 1, :], n1 * pairs[..., 0, :])
+    return index[..., upto] // index[..., below]
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the support masks S of k points: bits, (2^k, k)
+    uint8, has bits[S, i] = 1 when point i is in S; upto and below, each
+    (2^k - 1, k), hold the masks S & {0..i} and S & {0..i-1} of S >= 1."""
+    masks = np.arange(2**k)[:, None]
+    bits = (masks >> np.arange(k) & 1).astype(np.uint8)
     prefix = (2 << np.arange(k)) - 1
-    return index[masks & prefix] // index[masks & prefix >> 1]
+    tables = bits, masks[1:] & prefix, masks[1:] & prefix >> 1
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -402,30 +501,49 @@ def _orbit_box(rows, n1: int) -> list[list[int]]:
 
     The box 0 <= y_i < h_i holds exactly one point of each coset of the
     lattice in Z^r, so prod(h) is its index, and each h_i divides n1.
-    Integer echelon reduction: per column, Euclid on the remaining
-    generators until one is nonzero there, the pivot b[i], then its sign
-    and the entries above it.  The form is unique to the lattice.  Its
-    callers are ``ToricCode._column_key`` and ``ToricCode._tracked_basis``;
-    the kernel's boxes come from ``_box_sides``, which tests check against it.
+    Echelon reduction mod n1, which the lattice contains on every axis:
+    per column, the pivot b[i] is n1*e_i combined by extended Euclid with
+    each generator until its entry there is the gcd h_i; the generators
+    lose their multiples of b[i], and (n1/h_i)*b[i] - n1*e_i, zero there,
+    joins them.  Then the entries above the pivot are reduced.  The form is
+    unique to the lattice.  Its callers are ``_lattice_key`` and
+    ``ToricCode._tracked_basis``; the kernel's boxes come from
+    ``_box_sides``, which tests check against it.
     """
     r = len(rows)
-    gens = [list(col) for col in zip(*rows)]
-    gens += [[n1 if i == j else 0 for j in range(r)] for i in range(r)]
+    gens = [[a % n1 for a in col] for col in zip(*rows)]
     pivots = []
     for col in range(r):
-        while len(live := [g for g in gens if g[col]]) > 1:
-            pivot = min(live, key=lambda g: abs(g[col]))
-            for g in live:
-                if g is not pivot:
-                    c = g[col] // pivot[col]
-                    g[:] = [a - c * b for a, b in zip(g, pivot)]
-        b = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+        b = [0] * r
+        b[col] = n1
+        for g in gens:
+            if g[col] % b[col]:
+                h, x, y = _extended_gcd(b[col], g[col])
+                b = [(x * u + y * v) % n1 for u, v in zip(b, g)]
+                b[col] = h
+        h = b[col]
+        rest = []
+        for g in [*gens, [n1 // h * v % n1 for v in b]]:
+            if c := g[col] // h:
+                g = [(u - c * v) % n1 for u, v in zip(g, b)]
+            if any(g):
+                rest.append(g)
+        gens = rest
         for row in pivots:
-            if c := row[col] // b[col]:
+            if c := row[col] // h:
                 row[:] = [a - c * e for a, e in zip(row, b)]
         pivots.append(b)
-        gens = [g for g in gens if g is not live[0]]
     return pivots
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0 and b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        c, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - c * x1
+        y0, y1 = y1, y0 - c * y1
+    return a, x0, y0
 
 
 def build_code(field: FieldSpec, polytope: LatticePolytope) -> ToricCode:

@@ -10,6 +10,7 @@ acceptance tests are bit-exact.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from numbers import Integral
 
 from .codes import DistanceResult
 from .errors import InvalidField, InvalidParams, NoFormulaForFamily, OutOfRange
@@ -33,8 +34,8 @@ def dim4_distance(q: int, t: int) -> DistanceResult:
     (q-1)^3 - (q-1)(q-3) - q*gcd(t, q-1).
     """
     _check_q(q)
-    if t < 1:
-        raise InvalidParams(f"t must be >= 1; got {t}")
+    if not isinstance(t, Integral) or t < 1:
+        raise InvalidParams(f"t must be an integer >= 1; got {t}")
     g = gcd(t, q - 1)
     if g == 1:
         d = (q - 1) ** 3 - (q - 1) ** 2

@@ -403,7 +403,7 @@ def is_empty_tetrahedron(poly: LatticePolytope) -> bool:
 
 def white_canonical(s: int, t: int) -> int:
     """Minimum of {s, -s, s^-1, -s^-1} mod t; 0 when t = 1."""
-    if t < 1 or gcd(s, t) != 1:
+    if not (isinstance(s, Integral) and isinstance(t, Integral)) or t < 1 or gcd(s, t) != 1:
         raise InvalidParams(f"need t >= 1 and gcd(s,t)=1; got ({s},{t})")
     if t == 1:
         return 0
@@ -432,7 +432,10 @@ def white_equivalence_map(s1: int, s2: int, t: int) -> AffineUnimodularMap | Non
     Exists exactly when s1 is congruent to s2, s2^-1, -s2, or -s2^-1
     mod t; returns None otherwise.
     """
-    if t < 1 or gcd(s1, t) != 1 or gcd(s2, t) != 1:
+    if (
+        not all(isinstance(a, Integral) for a in (s1, s2, t))
+        or t < 1 or gcd(s1, t) != 1 or gcd(s2, t) != 1
+    ):
         raise InvalidParams(f"need gcd(s1,t)=gcd(s2,t)=1, t >= 1; got ({s1},{s2},{t})")
     if (s1 - s2) % t == 0:
         return _case1_map(s1, s2, t)

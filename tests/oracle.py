@@ -1,7 +1,7 @@
 """Independent references for the generator matrix, the enumeration
-kernel, the census grouping, the census parameter sweeps, the lattice
-determinants and the Hermite normal form, and the column partition of the
-T and P21 codes, kept for tests only."""
+kernel, the census grouping and its integer certificates, the census
+parameter sweeps, the lattice determinants and the Hermite normal form,
+and the column partition of the T and P21 codes, kept for tests only."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -67,6 +67,16 @@ def all_pairs_classes(q, entries):
             parent[find(i)] = find(j)
     roots = {}
     return [roots.setdefault(find(i), len(roots)) for i in range(len(entries))]
+
+
+def certificate_holds(c1, c2, A) -> bool:
+    """True when x -> A*x mod q-1 is a bijection of the torus and
+    G2 == G1[:, A*x]: an integer certificate checked on G, with the map
+    as one int64 product of A with the torus log grid."""
+    n1, m = c1.field.q - 1, c1.m
+    z = np.array(A, dtype=np.int64) @ _torus_logs(n1, m) % n1
+    perm = np.ravel_multi_index(tuple(z), (n1,) * m)
+    return len(np.unique(perm)) == c1.n and np.array_equal(c1.G[:, perm], c2.G)
 
 
 def dim4_parameter_sweep(q: int):

@@ -10,7 +10,7 @@ import pytest
 
 from toric3 import classify
 from toric3.classify import EQUIVALENT, _census_entries, census, witness_equivalence
-from toric3.codes import ToricCode, _orbit_box, build_code
+from toric3.codes import ToricCode, _lattice_key, _orbit_box, build_code
 from toric3.errors import InternalCheckFailed
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -21,7 +21,7 @@ from toric3.polytopes import (
     parse_polytope_spec,
 )
 
-from oracle import is_hermite_normal_form
+from oracle import certificate_holds, is_hermite_normal_form
 
 
 def _reference_perm(c1, c2):
@@ -171,6 +171,31 @@ def test_every_census_witness_is_the_stable_sort_permutation(q, dim):
     assert witnessed
 
 
+CERTIFIED_RUNS = [(q, 4) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+    (q, 5) for q in (5, 7, 8, 9, 11, 13, 16)
+]
+
+
+@pytest.mark.parametrize("q, dim", CERTIFIED_RUNS)
+def test_every_census_certificate_permutes_the_columns_of_g(q, dim):
+    # the census's certificates, each checked on both codes' G by the oracle
+    field = make_field(q)
+    first = {}
+    certified = 0
+    for family, s, t in parameter_sweep(q, dim):
+        poly = FAMILIES[family].make(s, t)
+        key = _lattice_key(poly.points, q - 1)
+        if key not in first:
+            first[key] = build_code(field, poly)
+            continue
+        kept = first[key]
+        A = classify._exponent_map(kept, poly.points)
+        if classify._certifies(kept, poly.points, A):
+            assert certificate_holds(kept, build_code(field, poly), A), poly.describe()
+            certified += 1
+    assert certified
+
+
 def _repeats_a_column(code):
     return len(set(map(bytes, np.ascontiguousarray(code.G.T)))) < code.n
 
@@ -258,15 +283,17 @@ def sorts(monkeypatch):
 
 
 def test_census_sorts_no_columns(sorts, monkeypatch):
-    # GF(7) width 1: 18 entries, 3 witnessed against the first entry with
-    # their key, one of them on codes with repeated columns
+    # GF(7) width 1: 18 entries, 3 with the key of an earlier entry; 2 are
+    # proved by an integer certificate, 1 (a singular A) by a witness,
+    # on codes with repeated columns
     witnessed = []
     witness = classify.witness_equivalence
     monkeypatch.setattr(
         classify, "witness_equivalence", lambda c1, c2: witnessed.append(c2) or witness(c1, c2)
     )
     entries = census(make_field(7), 5)
-    assert len(entries) == 18 and len(witnessed) == 3
+    assert len(entries) == 18 and len(witnessed) == 1
+    assert _repeats_a_column(witnessed[0])
     assert sorts == []
 
 

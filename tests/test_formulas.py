@@ -35,6 +35,11 @@ class TestDim4:
         with pytest.raises(InvalidParams):
             dim4_distance(5, 0)
 
+    @pytest.mark.parametrize("t", [2.0, "2", None])
+    def test_non_integer_t_raises_invalid_params(self, t):
+        with pytest.raises(InvalidParams):
+            dim4_distance(7, t)
+
 
 class TestDegenerate:
     @pytest.mark.parametrize(

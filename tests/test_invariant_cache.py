@@ -1,19 +1,19 @@
-"""One kernel pass per code, and the checks on what the pass and the
-witness return."""
+"""One kernel pass per batch of codes, each code enumerated once, and the
+checks on what the pass and the witness return."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from toric3 import classify
+from toric3 import classify, codes
 from toric3.classify import (
     INCONCLUSIVE,
     census,
     witness_equivalence,
 )
 from toric3.cli import main
-from toric3.codes import ToricCode, build_code
+from toric3.codes import ToricCode, _box_sides, _lattice_key, build_code
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
 from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse_polytope_spec
@@ -21,42 +21,43 @@ from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Kernel passes counted per code.  Keyed by the code itself, which
-    hashes by identity and stays alive here, since the id of a freed code
-    can be reused."""
-    counts = Counter()
-    kernel = ToricCode._zero_counts
+    """Kernel passes, each as the list of codes of its batch.  The codes
+    stay alive here, so each is told apart by identity."""
+    batches = []
+    kernel = codes._zero_counts
 
-    def counted(self):
-        counts[self] += 1
-        return kernel(self)
+    def counted(batch, sides):
+        batches.append(list(batch))
+        return kernel(batch, sides)
 
-    monkeypatch.setattr(ToricCode, "_zero_counts", counted)
-    return counts
+    monkeypatch.setattr(codes, "_zero_counts", counted)
+    return batches
 
 
-def test_census_runs_one_pass_per_column_key(passes):
+def test_census_fills_each_column_key_once_in_one_pass(passes):
     # GF(7) width 1: 18 entries with 15 distinct column keys; an entry whose
-    # key an earlier entry has shares that entry's code and its pass
+    # key an earlier entry has shares that entry's code and its invariants,
+    # and the 15 kept codes are enumerated in one batch
     entries = census(make_field(7), 5)
     assert len(entries) == 18
-    assert passes == Counter(dict.fromkeys((e.code for e in entries), 1))
-    assert len(passes) == 15
+    assert passes == [list(dict.fromkeys(e.code for e in entries))]
+    assert len(passes[0]) == 15
 
 
-def test_verify_runs_one_pass_per_code(passes, capsys):
-    # GF(5): one pass per column key of the 5 dim-4 and 9 width-1 census
-    # tuples, then 4 embedded polygons and their 4 planar codes for the
-    # product theorem
-    field = make_field(5)
+def test_verify_fills_each_code_once(passes, capsys):
+    # GF(5): one batch per census sweep, holding one code per column key of
+    # the 5 dim-4 and 9 width-1 tuples, then a batch of one for each of the
+    # 4 embedded polygons and their 4 planar codes for the product theorem
     sweeps = (parameter_sweep(5, 4), parameter_sweep(5, 5))
-    keys = [len({build_code(field, FAMILIES[f].make(s, t))._column_key for f, s, t in sweep})
+    keys = [len({_lattice_key(FAMILIES[f].make(s, t).points, 4) for f, s, t in sweep})
             for sweep in sweeps]
     assert keys == [2, 8]
     assert main(["verify", "--q", "5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert set(passes.values()) == {1}
-    assert sum(passes.values()) == sum(keys) + 4 + 4 == 18
+    filled = Counter(c for batch in passes for c in batch)
+    assert set(filled.values()) == {1}
+    assert sum(filled.values()) == sum(keys) + 4 + 4 == 18
+    assert [len(batch) for batch in passes] == keys + [1] * 8
 
 
 def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypatch, capsys):
@@ -78,7 +79,7 @@ def test_witness_fallback_reads_the_cached_invariants(passes):
     field = make_field(7)
     c1, c2 = (build_code(field, empty_tetrahedron(s, 3)) for s in (1, 2))
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
-    assert passes == Counter({c1: 1, c2: 1})
+    assert passes == [[c1], [c2]]
     passes.clear()
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
     assert not passes
@@ -103,25 +104,32 @@ def test_enumerator_keys_keep_the_order_weights_are_first_met():
 def test_kernel_yields_integers_only(q):
     # one arithmetic branch each: add mod p, XOR, add-table gather
     code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
-    for arrays in code._zero_counts():
-        assert len(arrays) == 2
+    sides = _box_sides([code.polytope.points], q - 1)
+    for c, *arrays in codes._zero_counts([code], sides):
+        assert c == 0 and len(arrays) == 2
         assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
 
 
-def test_kernel_enumerator_sum_check():
+def _one_block(monkeypatch, zeros, classes):
+    """The kernel replaced by one block of one orbit of the first code."""
+    block = (0, np.array([zeros]), np.array([classes]))
+    monkeypatch.setattr(codes, "_zero_counts", lambda batch, sides: iter([block]))
+
+
+def test_kernel_enumerator_sum_check(monkeypatch):
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     # a single projective class
-    code._zero_counts = lambda: iter([(np.array([2]), np.array([1]))])
+    _one_block(monkeypatch, 2, 1)
     with pytest.raises(InternalCheckFailed, match="sums to"):
         code.weight_enumerator()
 
 
-def test_kernel_enumerator_first_moment_check():
+def test_kernel_enumerator_first_moment_check(monkeypatch):
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     # 156 classes of weight n - 2: 4 * 156 + 1 = 5^4 codewords, but a first
     # moment of 62 * 624, not n * 4 * 5^3 = 32000
-    code._zero_counts = lambda: iter([(np.array([2]), np.array([156]))])
+    _one_block(monkeypatch, 2, 156)
     with pytest.raises(InternalCheckFailed, match="first moment"):
         code.min_distance_brute()
 
@@ -149,9 +157,11 @@ def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["census --q 5 --dim 4", "verify --q 5"])
 def test_a_failed_witness_in_the_census_names_both_codes(monkeypatch, capsys, command):
-    # one key for every code: the first dim-4 code whose columns differ
-    # from T(0,1)'s fails its witness while the census builds it
-    monkeypatch.setattr(ToricCode, "_column_key", ())
+    # one key for every tuple, as the census and the witness read it: the
+    # first dim-4 tuple with no certificate against T(0,1) and columns that
+    # differ from T(0,1)'s fails its witness while the census builds it
+    for module in (codes, classify):
+        monkeypatch.setattr(module, "_lattice_key", lambda points, n1: ())
     assert main(command.split()) == 1
     err = capsys.readouterr().err
     assert "q=5: T(0,1) vs T(1,2): column multisets match, yet G1[:, perm] != G2" in err

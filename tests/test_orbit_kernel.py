@@ -14,7 +14,7 @@ import pytest
 from toric3 import codes
 from toric3.classify import _census_entries
 from toric3.cli import main
-from toric3.codes import _box_sides, _orbit_box, build_code
+from toric3.codes import _box_sides, _lattice_key, _orbit_box, build_code
 from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -32,6 +32,12 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 def kernel(code):
     return code.max_zeros(), code.min_distance_brute().value, code.weight_enumerator()
+
+
+def alone(code):
+    """The kernel's (zeros, classes) blocks for a batch of code alone."""
+    sides = _box_sides([code.polytope.points], code.field.q - 1)
+    return [(zeros, classes) for _, zeros, classes in codes._zero_counts([code], sides)]
 
 
 @pytest.mark.parametrize("q,dim", [(5, 4), (7, 4), (8, 4), (9, 4), (5, 5), (7, 5)])
@@ -77,7 +83,7 @@ def test_low_dimensional_tori_match_the_projective_loop(q, poly):
 def test_blocks_split_across_supports_match_the_projective_loop(monkeypatch, rows):
     code = build_code(make_field(7), parse_polytope_spec("P32(1,1)"))
     monkeypatch.setattr(codes, "_WORD_BYTES", 8 * code.n * rows)
-    sizes = [len(z) for z, _ in code._zero_counts()]
+    sizes = [len(z) for z, _ in alone(code)]
     assert set(sizes[:-1]) <= {rows} and 0 < sizes[-1] <= rows
     assert kernel(code) == projective_reference(code)
 
@@ -94,7 +100,7 @@ def test_every_block_size_numbers_the_same_representatives(monkeypatch, q, poly)
 
     def stream(rows):
         monkeypatch.setattr(codes, "_WORD_BYTES", 8 * code.n * rows)
-        blocks = list(code._zero_counts())
+        blocks = list(alone(code))
         assert all(len(z) == rows for z, _ in blocks[:-1])
         assert 0 < len(blocks[-1][0]) <= rows
         return [np.concatenate(a) for a in zip(*blocks)]
@@ -131,7 +137,7 @@ def test_representatives_run_in_mask_then_c_order(q, poly):
                 u[i] = field.exp_table[e]
             zeros.append(code.count_zeros(u))
             classes.append((q - 1) ** (len(support) - 1) // prod(box))
-    got = [np.concatenate(a).tolist() for a in zip(*code._zero_counts())]
+    got = [np.concatenate(a).tolist() for a in zip(*alone(code))]
     assert got == [zeros, classes]
 
 
@@ -180,6 +186,49 @@ def test_box_sides_recurrence_on_random_point_sets(m):
         assert np.array_equal(_box_sides(points, n1), orbit_box_sides(points, n1)), (points, n1)
 
 
+@pytest.mark.parametrize(
+    "q, dim", [(q, dim) for q in (5, 7, 8, 9, 11, 13, 16, 25) for dim in (4, 5)]
+)
+def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, dim):
+    # census representatives (the first tuple with each column key, the
+    # first 12 of them), enumerated in batches of two codes with 7-row
+    # blocks, so that blocks hold rows of two codes and batches cut
+    # the sweep, against a pass of each code alone at the default budgets;
+    # q = 9 and 25 add through the add table
+    field = make_field(q)
+    first = {}
+    for family, s, t in parameter_sweep(q, dim):
+        poly = FAMILIES[family].make(s, t)
+        first.setdefault(_lattice_key(poly.points, q - 1), poly)
+    polys = list(first.values())[:12]
+    alone = [build_code(field, p)._invariants for p in polys]
+    batched = [build_code(field, p) for p in polys]
+    n = batched[0].n
+    # a code's table rows and weight counts, and the shared zero row
+    tops = _box_sides([p.points for p in polys], q - 1).max(axis=1)
+    sizes = tops.sum(axis=1) * n + 8 * (n + 1)
+    monkeypatch.setattr(codes, "_WORD_BYTES", 8 * n * 7)
+    monkeypatch.setattr(codes, "_BATCH_BYTES", int(n + sizes[:2].sum()))
+    batches, runs, kernel = [], [], codes._zero_counts
+
+    def recorded(batch, sides):
+        batches.append(len(batch))
+        runs.append([])
+        for c, zeros, classes in kernel(batch, sides):
+            runs[-1].append(len(zeros))
+            yield c, zeros, classes
+
+    monkeypatch.setattr(codes, "_zero_counts", recorded)
+    codes._fill_invariants(batched)
+    for code, (d, enum) in zip(batched, alone):
+        assert code._invariants[0] == d, code.polytope.describe()
+        assert list(code._invariants[1].items()) == list(enum.items())
+    assert sum(batches) == len(polys) and batches[0] == min(2, len(polys))
+    # a block yields one run per code, so more runs than blocks in a batch
+    # mean a block held rows of two codes
+    assert len(polys) == 1 or any(len(r) > -(-sum(r) // 7) for r in runs)
+
+
 @pytest.mark.parametrize("q,spec", [(7, "P32(1,1)"), (9, "W2:9"), (16, "T(1,9)"), (8, "E:3")])
 def test_classes_per_orbit_by_orbit_stabilizer(q, spec):
     # the stabilizer of a codeword of support S in F_q* x torus is one unit
@@ -203,7 +252,7 @@ def test_zero_counts_per_row_equal_the_whole_block_count(monkeypatch, q, spec):
 
     def stream(width):
         monkeypatch.setattr(codes, "_ROW_COUNT_WIDTH", width)
-        return [np.concatenate(a) for a in zip(*code._zero_counts())]
+        return [np.concatenate(a) for a in zip(*alone(code))]
 
     whole, per_row = stream(code.n + 1), stream(code.n)
     assert all(np.array_equal(a, b) for a, b in zip(whole, per_row))

@@ -214,6 +214,11 @@ class TestWhiteCanonical:
         with pytest.raises(InvalidParams):
             white_canonical(2, 4)
 
+    @pytest.mark.parametrize("s, t", [(1.0, 2), (1, 2.0), ("1", 2), (None, 3)])
+    def test_non_integer_params_raise_invalid_params(self, s, t):
+        with pytest.raises(InvalidParams):
+            white_canonical(s, t)
+
     @pytest.mark.parametrize("t", range(1, 21))
     def test_idempotent_and_orbit_constant(self, t):
         for s in range(t + 1):
@@ -231,6 +236,11 @@ class TestWhiteCanonical:
 
 
 class TestWhiteEquivalenceMap:
+    @pytest.mark.parametrize("s1, s2, t", [(1, 2.0, 3), (1.0, 2, 3), (1, 2, 3.0), (1, "2", 3)])
+    def test_non_integer_params_raise_invalid_params(self, s1, s2, t):
+        with pytest.raises(InvalidParams):
+            white_equivalence_map(s1, s2, t)
+
     def test_identity_case(self):
         m = white_equivalence_map(2, 2, 5)
         assert m.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

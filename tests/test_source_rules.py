@@ -50,39 +50,45 @@ def test_no_builtin_exception_raised(path):
     assert not bad, f"{path.name}: builtin exception raised at {bad}"
 
 
-CODES = Path(__file__).resolve().parents[1] / "src" / "toric3" / "codes.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "toric3"
 DISTANCE_PATH = {
-    "build_generator_matrix", "_words", "_add_words", "_zero_counts", "_box_sides", "_wedge_steps",
-    "_invariants",
+    "codes.py": {
+        "build_generator_matrix", "_words", "_add_words", "_zero_counts", "_box_sides",
+        "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants", "_enumerate_batch",
+        "_lattice_key", "_orbit_box", "_extended_gcd",
+    },
+    "classify.py": {"_exponent_map", "_certifies", "_det"},
 }
 
 
 def test_no_float_in_the_distance_path():
-    """Distances and enumerators stay exact: the functions that build G,
-    evaluate codewords, count zeros and sum the enumerator use no true
-    division and no float type or dtype."""
-    tree = ast.parse(CODES.read_text(), filename=str(CODES))
-    found = {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in DISTANCE_PATH
-    }
-    assert set(found) == DISTANCE_PATH
+    """Distances, enumerators and merges stay exact: the functions that
+    build G, evaluate codewords, count zeros, sum the enumerator, key the
+    columns and certify a merge use no true division and no float type or
+    dtype."""
     bad = []
-    for name, fn in found.items():
-        body = fn.body[ast.get_docstring(fn) is not None:]
-        for node in (n for stmt in body for n in ast.walk(stmt)):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                bad.append((name, node.lineno, "/"))
-            words = [getattr(node, "id", None), getattr(node, "attr", None),
-                     getattr(node, "value", None) if isinstance(node, ast.Constant) else None]
-            for w in words:
-                if isinstance(w, str) and ("float" in w or w in ("divide", "true_divide")):
-                    bad.append((name, node.lineno, w))
-    assert not bad, f"codes.py: float arithmetic at {bad}"
+    for module, names in DISTANCE_PATH.items():
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        found = {
+            node.name: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names
+        }
+        assert set(found) == names, module
+        for name, fn in found.items():
+            body = fn.body[ast.get_docstring(fn) is not None:]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    bad.append((module, name, node.lineno, "/"))
+                words = [getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "value", None) if isinstance(node, ast.Constant) else None]
+                for w in words:
+                    if isinstance(w, str) and ("float" in w or w in ("divide", "true_divide")):
+                        bad.append((module, name, node.lineno, w))
+    assert not bad, f"float arithmetic at {bad}"
 
 
-CLASSIFY = Path(__file__).resolve().parents[1] / "src" / "toric3" / "classify.py"
+CLASSIFY = SRC / "classify.py"
 
 
 def test_classify_trusts_the_polytopes_it_is_given():
