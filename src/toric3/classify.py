@@ -6,7 +6,9 @@ Two routes are kept deliberately independent and cross-checked:
   and the width-1 five-point propositions, all reached through
   ``theorem_verdict``, by ``equiv``, the census and both parameter entries
   alike; a tagged polytope met its family's (s, t) rule when it was made,
-  so no criterion checks it again;
+  so no criterion checks it again.  Two families, or two distinct (3,2)
+  parameter pairs, get INCONCLUSIVE: over GF(5), exponent maps mod 4 with
+  unit determinant send P32(1,1) onto P32(1,2) and P22 onto P32(1,3);
 * a constructive witness test — equal column keys (the Hermite normal
   form of each code's exponent lattice), so equal column multisets, give an
   exponent map E2 = E1*A mod q-1 and from it, with no sort, the column
@@ -51,6 +53,7 @@ from .polytopes import (
     SIG32,
     WIDTH1_SIGNATURES,
     LatticePolytope,
+    det3,
     empty_tetrahedron,
     parameter_sweep,
     white_canonical,
@@ -150,7 +153,8 @@ def _exponent_map(c1: ToricCode, points) -> list[list[int]] | None:
 def _certifies(c1: ToricCode, points, A: list[list[int]] | None) -> bool:
     """True when A proves in integers that the code of ``points`` (k and m
     as c1's) is c1 with its columns permuted: E2 = E1*A mod q-1, checked
-    entry by entry, and gcd(det A, q-1) = 1.  A is ``_exponent_map``'s,
+    entry by entry, and gcd(det3(A), q-1) = 1; every census code is 3-D, so
+    another A leaves its merge to the witness.  A is ``_exponent_map``'s,
     None when there is none.
 
     Column x of G2 is alpha^(E2*x) = alpha^(E1*(A*x)), column A*x of G1,
@@ -166,18 +170,7 @@ def _certifies(c1: ToricCode, points, A: list[list[int]] | None) -> bool:
         for column, e in zip(columns, e2):
             if (sum(a * b for a, b in zip(e1, column)) - e) % n1:
                 return False
-    return gcd(_det(A), n1) == 1
-
-
-def _det(A: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by Laplace expansion along
-    its first row."""
-    if len(A) == 1:
-        return A[0][0]
-    return sum(
-        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in A[1:]])
-        for j, a in enumerate(A[0])
-    )
+    return len(A) == 3 and gcd(det3(*A), n1) == 1
 
 
 def _fiber_rank(kernel: list, n1: int) -> np.ndarray:
@@ -301,35 +294,33 @@ def dim5_theorem_verdict(
     sig_b: tuple[int, int],
     params_b: tuple[int, int],
 ) -> EquivalenceVerdict:
-    """Criteria for width-1 five-point codes.
+    """Criteria for width-1 five-point codes of one signature.
 
-    Signature (2,1) with equal t, g = gcd(t, q-1): equivalent iff
-    sa = +-sb mod g, reported as ``(2,1):residue-mod-gcd`` for
-    sa = sb and ``(2,1):reflection-mod-gcd`` for sa = -sb.  The "if"
-    half is proved by exponent maps mod q-1 that fix 0, e3 and the pair
-    {e1, -e1} and so need no diagonal: p -> (p1 + k*p2, p2, p3) with
-    k*t = sb - sa for the residue, p -> (-p1 + k*p2, p2, p3) with
-    k*t = sa + sb for the reflection.  The "only if" half rests on the
-    paper's stated theorem and is not checked in this library.  A
-    signature or parameter pair that names no polytope raises
-    InvalidParams.
+    P22 and P31 have no parameters, and (3,2) decides only equal (s, t):
+    EQUIVALENT, by the identity.  Signature (2,1): with equal s, equivalent
+    iff gcd(ta, q-1) = gcd(tb, q-1); with equal t and g = gcd(t, q-1), iff
+    sa = +-sb mod g (``residue`` for sa = sb, ``reflection`` for sa = -sb).
+    Any other pair is INCONCLUSIVE.  The "if" halves are proved by exponent
+    maps mod q-1 that fix 0, e3 and {e1, -e1} and so need no diagonal:
+    p -> (p1, u*p2, p3) with u a unit and u*ta = tb, p -> (+-p1 + k*p2, p2,
+    p3) with k*t = sb -+ sa.  The "only if" halves rest on the paper's
+    stated theorem and are not checked in this library.  A signature or
+    parameter pair that names no polytope raises InvalidParams.
     """
     pa = width1_representative(sig_a, *params_a)
     return theorem_verdict(q, pa, width1_representative(sig_b, *params_b))
 
 
 def _dim5_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
-    """``dim5_theorem_verdict`` on two width-1 representatives; distinct
-    families have distinct signatures."""
-    if pa.family != pb.family:
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "distinct-signature")
+    """``dim5_theorem_verdict`` on two width-1 representatives of one
+    signature."""
     if not pa.params:  # P22 and P31, the families without parameters
         return EquivalenceVerdict(EQUIVALENT, "THEOREM", "single-class-signature")
     (sa, ta), (sb, tb) = pa.params, pb.params
     if pa.family == SIG32:
         if (sa, ta) == (sb, tb):
             return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(3,2):identical-params")
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "(3,2):distinct-params")
+        return EquivalenceVerdict(INCONCLUSIVE, "NONE")
     # (2,1)
     if sa == sb:
         if gcd(ta, q - 1) == gcd(tb, q - 1):
@@ -346,12 +337,16 @@ def _dim5_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> Equival
 
 def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
     """The theorem verdict for two polytopes, the one dispatch to the
-    criteria: the dim-4 criteria for two empty tetrahedra, the width-1
-    criteria for two width-1 representatives, INCONCLUSIVE for any other
-    pair.  A tagged polytope met its family's rule when it was made."""
-    if pa.family == EMPTY_TETRA and pb.family == EMPTY_TETRA:
+    criteria: two families get INCONCLUSIVE, as no stated criterion spans
+    two; two empty tetrahedra get ``dim4_theorem_verdict``'s, two width-1
+    representatives ``dim5_theorem_verdict``'s, whose docstrings say which
+    half a map proves; any other pair, W2 or E, INCONCLUSIVE.  A tagged
+    polytope met its family's rule when it was made."""
+    if pa.family != pb.family:
+        return EquivalenceVerdict(INCONCLUSIVE, "NONE")
+    if pa.family == EMPTY_TETRA:
         return _dim4_criterion(q, pa, pb)
-    if pa.family in WIDTH1_SIGNATURES and pb.family in WIDTH1_SIGNATURES:
+    if pa.family in WIDTH1_SIGNATURES:
         return _dim5_criterion(q, pa, pb)
     return EquivalenceVerdict(INCONCLUSIVE, "NONE")
 

@@ -64,7 +64,7 @@ def cmd_equiv(args) -> int:
         wit = classify.witness_equivalence(build_code(field, pa), build_code(field, pb))
         wd = wit.to_dict()
         if args.verbose and wit.evidence_kind == "WITNESS":
-            wd["permutation"] = [int(x) for x in wit.detail]
+            wd["permutation"] = wit.detail.tolist()
         out["witness"] = wd
     if args.method == "both":
         ts, ws = out["theorem"]["status"], out["witness"]["status"]

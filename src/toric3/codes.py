@@ -20,14 +20,14 @@ supports come from one integer recurrence over the support masks, on
 orbit counts and gcds of maximal minors (``_box_sides``), not from a
 lattice reduction per support, for a whole stack of codes at once.
 
-The kernel runs on a batch of codes that share q, k and m: a census
-enumerates all the codes it keeps together (``_fill_invariants``), and a
-code asked alone is a batch of one (``_enumerate_batch``).  The
-representatives of all (code, support) pairs are numbered in one range,
-and each block of coefficients is built from its index range alone, so
-the small codes of a census are evaluated in a single block.  Two exact
-checks guard each code's enumerator: it sums to q^k, and its first
-moment is n(q-1)q^(k-1).
+The kernel runs on a batch of codes that share q, k and m, and
+``_fill_invariants`` is its only entry: a census enumerates all the codes
+it keeps together, and a code asked alone runs ``_fill_invariants([code])``.
+The representatives of all (code, support) pairs are numbered in one
+range, and each block of coefficients is built from its index range
+alone, so the small codes of a census are evaluated in a single block.
+Two exact checks guard each code's enumerator: it sums to q^k, and its
+first moment is n(q-1)q^(k-1).
 
 A code's column key, the Hermite normal form of its exponent lattice mod
 q-1 (``_lattice_key``), is read off its points, so codes can be grouped
@@ -212,11 +212,11 @@ class ToricCode:
     @property
     def _invariants(self) -> tuple[int, dict[int, int]]:
         """(minimum distance, weight enumerator), from the kernel pass of
-        the batch the code was first enumerated in: a batch of one unless
-        ``_fill_invariants`` was given it with others.  Lazy, so a code is
-        only enumerated when asked."""
+        the batch the code was first enumerated in: ``_fill_invariants([self])``
+        unless the census gave it to ``_fill_invariants`` with others.  Lazy,
+        so a code is only enumerated when asked."""
         if self._enumerated is None:
-            _enumerate_batch([self], _box_sides([self.polytope.points], self.field.q - 1))
+            _fill_invariants([self])
         return self._enumerated
 
     def max_zeros(self) -> int:

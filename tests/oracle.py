@@ -1,11 +1,12 @@
 """Independent references for the generator matrix, the enumeration
-kernel, the census grouping and its integer certificates, the census
-parameter sweeps, the lattice determinants and the Hermite normal form,
-and the column partition of the T and P21 codes, kept for tests only."""
+kernel, the census grouping and its integer certificates, exponent maps
+between point sets and their action on G, the census parameter sweeps,
+the lattice determinants and the Hermite normal form, and the column
+partition of the T and P21 codes, kept for tests only."""
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
@@ -77,6 +78,70 @@ def certificate_holds(c1, c2, A) -> bool:
     z = np.array(A, dtype=np.int64) @ _torus_logs(n1, m) % n1
     perm = np.ravel_multi_index(tuple(z), (n1,) * m)
     return len(np.unique(perm)) == c1.n and np.array_equal(c1.G[:, perm], c2.G)
+
+
+def lattice_map(points_a, points_b, q):
+    """An exponent map (A, b), p -> A p + b mod q-1 with gcd(det A, q-1) = 1,
+    that sends the points points_a onto points_b, or None when there is
+    none.  points_a must hold 0, e1 and e3 and a point off the plane y = 0,
+    as every census polytope does (P22, P31 and P32 hold e2 itself).
+
+    For each bijection of the points, b, A e1 and A e3 are fixed by the
+    images of 0, e1 and e3, and A e2 ranges over the solutions of
+    y * A e2 = f(p) - b - x * A e1 - z * A e3 mod q-1, p = (x, y, z) the
+    point with the least gcd(y, q-1): e2 itself when it is there.  A comes
+    back as a tuple of rows, b as a tuple, both reduced mod q-1.
+    """
+    n1 = q - 1
+    src = [tuple(p) for p in points_a]
+    i0, i1, i3 = (src.index(p) for p in ((0, 0, 0), (1, 0, 0), (0, 0, 1)))
+    ip = min((i for i, p in enumerate(src) if p[1]), key=lambda i: gcd(src[i][1], n1))
+    x, y, z = src[ip]
+    g = gcd(y, n1)
+    step = n1 // g
+    lift = pow(y // g, -1, step) if step > 1 else 0
+    offsets = step * np.indices((g,) * 3).reshape(3, -1).T
+    points = np.array(src).T
+    for img in map(np.array, permutations(np.array(points_b) % n1)):
+        b, a1, a3 = img[i0], img[i1] - img[i0], img[i3] - img[i0]
+        c = (img[ip] - b - x * a1 - z * a3) % n1  # y * A e2
+        if (c % g).any():
+            continue
+        a2 = (c // g * lift + offsets) % n1
+        A = np.stack(np.broadcast_arrays(a1, a2, a3), axis=2)  # one A per a2
+        onto = ((A @ points).transpose(0, 2, 1) + b - img) % n1 == 0
+        unit = np.gcd(np.cross(a2, a3) @ a1, n1) == 1
+        for o in np.flatnonzero(onto.all(axis=(1, 2)) & unit):
+            return tuple(map(tuple, (A[o] % n1).tolist())), tuple((b % n1).tolist())
+    return None
+
+
+def is_monomial_map(field, poly_from, poly_to, A, b) -> bool:
+    """True iff the exponent map p -> A p + b (mod q-1) sends the points
+    of poly_from onto those of poly_to, and on generator matrices is a
+    column permutation times a diagonal: G_to with its rows permuted
+    equals G_from[:, perm] * D.
+
+    At the torus point x = alpha^u (columns in lex order of u),
+    x^(A p + b) = (alpha^(A^T u))^p * alpha^(u.b), so perm[u] is the
+    column of A^T u and D[u] = alpha^(u.b), the values of x^b.
+    """
+    n1 = field.q - 1
+    A = np.asarray(A, dtype=np.int64)
+    image = [tuple(int(c) % n1 for c in A @ p + b) for p in poly_from.points]
+    target = [tuple(c % n1 for c in p) for p in poly_to.points]
+    if sorted(image) != sorted(target):
+        return False
+    u = np.indices((n1,) * 3).reshape(3, -1)
+    v = (A.T @ u) % n1
+    perm = (v[0] * n1 + v[1]) * n1 + v[2]
+    if not np.array_equal(np.sort(perm), np.arange(n1 ** 3)):
+        return False  # det A is not a unit mod q-1
+    diag = field.exp_table[(np.asarray(b) @ u) % n1]
+    rows = [target.index(p) for p in image]
+    g_from = build_code(field, poly_from).G
+    g_to = build_code(field, poly_to).G
+    return np.array_equal(field.mul_table[g_from[:, perm], diag], g_to[rows])
 
 
 def dim4_parameter_sweep(q: int):

@@ -37,40 +37,12 @@ from toric3.polytopes import (
 )
 from toric3.polytopes import WIDTH1_SIGNATURES as _SIG_OF_FAMILY
 
-from oracle import column_partition, projective_reference
+from oracle import column_partition, is_monomial_map, projective_reference
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}  {desc}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-def _is_monomial_map(field, poly_from, poly_to, A, b) -> bool:
-    """True iff the exponent map p -> A p + b (mod q-1) sends the points
-    of poly_from onto those of poly_to, and on generator matrices is a
-    column permutation times a diagonal: G_to with its rows permuted
-    equals G_from[:, perm] * D.
-
-    At the torus point x = alpha^u (columns in lex order of u),
-    x^(A p + b) = (alpha^(A^T u))^p * alpha^(u.b), so perm[u] is the
-    column of A^T u and D[u] = alpha^(u.b), the values of x^b.
-    """
-    n1 = field.q - 1
-    A = np.asarray(A, dtype=np.int64)
-    image = [tuple(int(c) % n1 for c in A @ p + b) for p in poly_from.points]
-    target = [tuple(c % n1 for c in p) for p in poly_to.points]
-    if sorted(image) != sorted(target):
-        return False
-    u = np.indices((n1,) * 3).reshape(3, -1)
-    v = (A.T @ u) % n1
-    perm = (v[0] * n1 + v[1]) * n1 + v[2]
-    if not np.array_equal(np.sort(perm), np.arange(n1 ** 3)):
-        return False  # det A is not a unit mod q-1
-    diag = field.exp_table[(np.asarray(b) @ u) % n1]
-    rows = [target.index(p) for p in image]
-    g_from = build_code(field, poly_from).G
-    g_to = build_code(field, poly_to).G
-    return np.array_equal(field.mul_table[g_from[:, perm], diag], g_to[rows])
 
 
 # p -> A(p - e1) mod 12, det A = -1: sends (0, e1, e3, (1,9,1)) of T(1,9)
@@ -166,7 +138,7 @@ def test_criterion_4_spot_gf7_t4():
 def test_criterion_4_spot_gf13_t9_theorem():
     thm = dim4_theorem_verdict(13, 1, 9, 2, 9)
     field = make_field(13)
-    mapped = _is_monomial_map(
+    mapped = is_monomial_map(
         field, empty_tetrahedron(1, 9), empty_tetrahedron(2, 9), *_GF13_T9_MAP
     )
     _report(4, f"GF(13) t=9 s=1 vs 2 theorem verdict ({thm.status}, {thm.detail}); "
@@ -182,7 +154,7 @@ def test_criterion_4_spot_gf13_t9_enumerators_differ():
     # matrices, independently of weight_enumerator, which must then agree.
     field = make_field(13)
     p1, p2 = empty_tetrahedron(1, 9), empty_tetrahedron(2, 9)
-    mapped = _is_monomial_map(field, p1, p2, *_GF13_T9_MAP)
+    mapped = is_monomial_map(field, p1, p2, *_GF13_T9_MAP)
     w1 = build_code(field, p1).weight_enumerator()
     w2 = build_code(field, p2).weight_enumerator()
     _report(4, f"GF(13) t=9 s=1 vs 2 monomially equivalent by torus map ({mapped}), "
@@ -214,7 +186,7 @@ def test_criterion_4_closure_pairs_have_torus_maps():
                     shear = np.array(((1, a, 0), (0, 1, 0), (0, 0, 1)))
                     A, b = shear @ white.matrix, shear @ white.shift
                     checked += 1
-                    if not _is_monomial_map(
+                    if not is_monomial_map(
                         field, empty_tetrahedron(s2, t), empty_tetrahedron(s1, t), A, b
                     ):
                         failures.append((q, "T", s1, s2, t))
@@ -227,7 +199,7 @@ def test_criterion_4_closure_pairs_have_torus_maps():
                     k = (sa + sb) // g * pow(t // g, -1, n1 // g)
                     A = ((-1, k, 0), (0, 1, 0), (0, 0, 1))
                     checked += 1
-                    if not _is_monomial_map(
+                    if not is_monomial_map(
                         field,
                         width1_representative((2, 1), sa, t),
                         width1_representative((2, 1), sb, t),

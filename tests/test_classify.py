@@ -1,4 +1,3 @@
-from itertools import permutations
 from math import gcd
 
 import numpy as np
@@ -12,6 +11,7 @@ from toric3.classify import (
     dim4_gcd_corollary,
     dim4_theorem_verdict,
     dim5_theorem_verdict,
+    theorem_verdict,
     witness_equivalence,
 )
 from toric3.codes import build_code
@@ -19,13 +19,14 @@ from toric3.errors import InvalidParams, ShapeMismatch, UnsupportedFamily
 from toric3.galois import make_field
 from toric3.polytopes import (
     EMPTY_TETRA,
+    FAMILIES,
     empty_tetrahedron,
     parameter_sweep,
     width1_representative,
     width2_representative,
 )
 
-from oracle import column_partition
+from oracle import column_partition, is_monomial_map, lattice_map
 
 
 class TestColumnPartition:
@@ -130,57 +131,65 @@ class TestDim4Theorem:
             dim4_theorem_verdict(7, 2, 4, 1, 4)
 
 
-def _lattice_map_exists(points_a, points_b, q, s, t) -> bool:
-    """Is there an exponent map p -> A p + b mod q-1, det A a unit, that
-    sends points_a = (0, e1, e3, (s,t,1), *points with y = 0) onto
-    points_b?  For each bijection of the points, b, A e1 and A e3 are
-    fixed by the images of 0, e1 and e3, and A e2 ranges over the
-    solutions of t * A e2 = f(s,t,1) - b - s * A e1 - A e3 mod q-1.
-    """
-    n1 = q - 1
-    g = gcd(t, n1)
-    step = n1 // g
-    lift = pow(t // g, -1, step) if step > 1 else 0
-    offsets = step * np.indices((g,) * 3).reshape(3, -1).T
-    for img in permutations(np.array(points_b) % n1):
-        b, a1, a3 = img[0], img[1] - img[0], img[2] - img[0]
-        if any(((b + x * a1 + z * a3 - im) % n1).any()
-               for (x, _, z), im in zip(points_a[4:], img[4:])):
-            continue
-        c = (img[3] - b - s * a1 - a3) % n1  # t * A e2
-        if (c % g).any():
-            continue
-        a2 = (c // g * lift + offsets) % n1
-        dets = np.cross(a2, a3) @ a1
-        if any(gcd(int(d), n1) == 1 for d in dets):
-            return True
-    return False
-
-
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16, 17, 29])
 def test_same_t_verdicts_match_lattice_maps_mod_q1(q):
     # Over the census sweep, a same-t pair is EQUIVALENT exactly when an
     # exponent map mod q-1 relates the two polytopes (the closure is
     # complete for such maps; equivalences of any other kind are not
     # searched here)
-    def tetra(s, t):
-        return [(0, 0, 0), (1, 0, 0), (0, 0, 1), (s, t, 1)]
-
     for t in range(2, q - 1):
         units = [s for s in range(t) if gcd(s, t) == 1]
         for s1 in units:
             for s2 in units:
                 thm = dim4_theorem_verdict(q, s1, t, s2, t)
-                found = _lattice_map_exists(tetra(s1, t), tetra(s2, t), q, s1, t)
+                pa, pb = empty_tetrahedron(s1, t), empty_tetrahedron(s2, t)
+                found = lattice_map(pa.points, pb.points, q) is not None
                 assert (thm.status == EQUIVALENT) == found, (q, s1, s2, t, thm.detail)
         halves = [s for s in units if 2 * s <= t]
         for sa in halves:
             for sb in halves:
                 thm = dim5_theorem_verdict(q, (2, 1), (sa, t), (2, 1), (sb, t))
-                found = _lattice_map_exists(
-                    tetra(sa, t) + [(-1, 0, 0)], tetra(sb, t) + [(-1, 0, 0)], q, sa, t
-                )
+                pa, pb = (width1_representative((2, 1), s, t) for s in (sa, sb))
+                found = lattice_map(pa.points, pb.points, q) is not None
                 assert (thm.status == EQUIVALENT) == found, (q, sa, sb, t, thm.detail)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_no_theorem_inequivalent_between_lattice_mapped_point_sets(q, dim):
+    # An exponent map p -> A p + b mod q-1 with det A a unit permutes the
+    # torus and scales the columns by x^b, so no INEQUIVALENT may stand
+    # between the two point sets it relates
+    polys = [FAMILIES[f].make(s, t) for f, s, t in parameter_sweep(q, dim)]
+    wrong = []
+    for i, pa in enumerate(polys):
+        for pb in polys[i + 1 :]:
+            thm = theorem_verdict(q, pa, pb)
+            if thm.status == INEQUIVALENT and lattice_map(pa.points, pb.points, q):
+                wrong.append((pa.describe(), pb.describe(), thm.detail))
+    assert not wrong, (q, wrong)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_lattice_mapped_pairs_across_params_are_inconclusive(q):
+    # P32(1,1) ~ P32(1,q-3) and P22 ~ P32(1,q-2) by an exponent map mod q-1,
+    # checked on G as rows permuted and a diagonal from b, so no theorem
+    # may call them inequivalent
+    field = make_field(q)
+    pairs = [
+        (width1_representative((3, 2), 1, 1), width1_representative((3, 2), 1, q - 3)),
+        (width1_representative((2, 2)), width1_representative((3, 2), 1, q - 2)),
+    ]
+    for pa, pb in pairs:
+        found = lattice_map(pa.points, pb.points, q)
+        assert found and is_monomial_map(field, pa, pb, *found), (pa.describe(), pb.describe())
+        assert theorem_verdict(q, pa, pb).status == INCONCLUSIVE
+
+
+def test_no_criterion_for_width2_pairs():
+    for row in (1, 2):
+        v = theorem_verdict(7, width2_representative(1), width2_representative(row))
+        assert (v.status, v.evidence_kind) == (INCONCLUSIVE, "NONE")
 
 
 def test_dim4_gcd_corollary():
@@ -191,8 +200,13 @@ def test_dim4_gcd_corollary():
 
 class TestDim5Theorem:
     def test_cross_signature(self):
+        # no criterion spans two signatures; the witness separates this pair
         v = dim5_theorem_verdict(11, (2, 2), (0, 0), (3, 1), (0, 0))
-        assert v.status == INEQUIVALENT
+        assert v.status == INCONCLUSIVE
+        field = make_field(11)
+        pa, pb = width1_representative((2, 2)), width1_representative((3, 1))
+        wit = witness_equivalence(build_code(field, pa), build_code(field, pb))
+        assert (wit.status, wit.detail) == (INEQUIVALENT, ("min_distance", 810, 850))
 
     def test_single_class_signatures(self):
         assert dim5_theorem_verdict(7, (2, 2), (0, 0), (2, 2), (0, 0)).status == EQUIVALENT
@@ -202,10 +216,13 @@ class TestDim5Theorem:
         assert (
             dim5_theorem_verdict(7, (3, 2), (1, 2), (3, 2), (1, 2)).status == EQUIVALENT
         )
-        assert (
-            dim5_theorem_verdict(7, (3, 2), (1, 1), (3, 2), (1, 2)).status
-            == INEQUIVALENT
-        )
+        # distinct (3,2) parameters are not decided; the witness separates these
+        v = dim5_theorem_verdict(7, (3, 2), (1, 1), (3, 2), (1, 2))
+        assert v.status == INCONCLUSIVE
+        field = make_field(7)
+        pa, pb = (width1_representative((3, 2), 1, t) for t in (1, 2))
+        wit = witness_equivalence(build_code(field, pa), build_code(field, pb))
+        assert (wit.status, wit.detail) == (INEQUIVALENT, ("min_distance", 177, 171))
 
     def test_sig21_criteria(self):
         assert dim5_theorem_verdict(7, (2, 1), (1, 2), (2, 1), (1, 4)).status == EQUIVALENT

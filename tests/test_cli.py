@@ -39,6 +39,15 @@ def test_mindist_formula_only(capsys):
     assert json.loads(out)["formula"]["lower"] == 36
 
 
+def test_mindist_formula_for_an_embedded_polygon(capsys):
+    # E:3, the unit square at z=0: (q-1) times the planar d = (q-2)^2
+    code, out, _ = run(capsys, "mindist", "--q", "7", "--poly", "E:3", "--method", "formula")
+    assert code == 0
+    assert json.loads(out)["formula"] == {
+        "lower": 150, "upper": 150, "exact": True, "method": "formula",
+    }
+
+
 def test_mindist_no_formula_for_width2(capsys):
     code, _, err = run(capsys, "mindist", "--q", "5", "--poly", "W2:1", "--method", "formula")
     assert code == 1
@@ -73,9 +82,38 @@ def test_equiv_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_equiv_cross_signature(capsys):
-    code, out, _ = run(capsys, "equiv", "--q", "5", "--a", "P22", "--b", "P31", "--method", "theorem")
+    # no criterion spans two signatures; the witness's invariant separates them
+    code, out, _ = run(capsys, "equiv", "--q", "5", "--a", "P22", "--b", "P31", "--method", "both")
     assert code == 0
-    assert json.loads(out)["theorem"]["status"] == "INEQUIVALENT"
+    payload = json.loads(out)
+    assert payload["theorem"] == {"status": "INCONCLUSIVE", "evidence": "NONE"}
+    assert payload["witness"] == {
+        "status": "INEQUIVALENT", "evidence": "INVARIANT",
+        "invariant": {"name": "min_distance", "a": 36, "b": 40},
+    }
+    assert payload["agreement"] is True
+
+
+def test_equiv_prints_a_separating_weight_enumerator(capsys):
+    # equal distances, so the enumerators separate; each in the order its
+    # weights were first met
+    code, out, _ = run(
+        capsys, "equiv", "--q", "5", "--a", "P21(0,1)", "--b", "P21(1,2)", "--method", "witness",
+    )
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert (witness["status"], witness["evidence"]) == ("INEQUIVALENT", "INVARIANT")
+    invariant = witness["invariant"]
+    assert list(invariant) == ["name", "a", "b"]
+    assert invariant["name"] == "weight_enumerator"
+    assert list(invariant["a"].items()) == [
+        ("0", 1), ("64", 60), ("48", 480), ("52", 1216), ("32", 24), ("56", 192),
+        ("51", 768), ("50", 384),
+    ]
+    assert list(invariant["b"].items()) == [
+        ("0", 1), ("64", 60), ("48", 480), ("52", 1216), ("32", 24), ("56", 576),
+        ("46", 384), ("60", 64), ("40", 64), ("50", 256),
+    ]
 
 
 def test_equiv_verbose_dumps_permutation(capsys):

@@ -15,6 +15,7 @@ from toric3 import codes
 from toric3.classify import _census_entries
 from toric3.cli import main
 from toric3.codes import _box_sides, _lattice_key, _orbit_box, build_code
+from toric3.errors import ShapeMismatch
 from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
 from toric3.polytopes import (
@@ -227,6 +228,16 @@ def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, d
     # a block yields one run per code, so more runs than blocks in a batch
     # mean a block held rows of two codes
     assert len(polys) == 1 or any(len(r) > -(-sum(r) // 7) for r in runs)
+
+
+def test_a_batch_refuses_codes_of_different_k():
+    # one kernel pass numbers the supports of one k, so T (k=4) and P22
+    # (k=5) cannot share it; neither code is left half enumerated
+    field = make_field(7)
+    pair = [build_code(field, parse_polytope_spec(spec)) for spec in ("T(1,2)", "P22")]
+    with pytest.raises(ShapeMismatch):
+        codes._fill_invariants(pair)
+    assert all(c._enumerated is None for c in pair)
 
 
 @pytest.mark.parametrize("q,spec", [(7, "P32(1,1)"), (9, "W2:9"), (16, "T(1,9)"), (8, "E:3")])

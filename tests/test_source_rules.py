@@ -57,7 +57,8 @@ DISTANCE_PATH = {
         "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants", "_enumerate_batch",
         "_lattice_key", "_orbit_box", "_extended_gcd",
     },
-    "classify.py": {"_exponent_map", "_certifies", "_det"},
+    "classify.py": {"_exponent_map", "_certifies"},
+    "polytopes.py": {"det3"},
 }
 
 
