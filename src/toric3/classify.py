@@ -27,13 +27,15 @@ that key is proved to be the first code with its columns permuted, by an
 integer certificate when it holds (``_certifies``: E2 = E1*A mod q-1 with
 det A a unit mod q-1, no G read) and else by one witness checked on G.  The
 kept codes are enumerated together, one kernel pass per batch
-(``codes._fill_invariants``), and theorems are checked on every pair.
+(``codes._fill_invariants``), and theorems are checked on every pair that
+shares a family and s or t, the only pairs they can decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from math import gcd, prod
 
 import numpy as np
@@ -216,6 +218,8 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         if not np.array_equal(g1.take(perm, axis=1), g2):
             raise failed("columns differ")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
+    if todo := [c for c in (c1, c2) if c._enumerated is None]:
+        _fill_invariants(todo)  # both codes in one kernel pass
     d1 = c1.min_distance_brute().value
     d2 = c2.min_distance_brute().value
     if d1 != d2:
@@ -341,7 +345,9 @@ def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> Equival
     two; two empty tetrahedra get ``dim4_theorem_verdict``'s, two width-1
     representatives ``dim5_theorem_verdict``'s, whose docstrings say which
     half a map proves; any other pair, W2 or E, INCONCLUSIVE.  A tagged
-    polytope met its family's rule when it was made."""
+    polytope met its family's rule when it was made.  Every criterion needs
+    equal s or equal t, so the verdict is INCONCLUSIVE unless both polytopes
+    are of one family and share s or t (P22 and P31 as s = t = 0)."""
     if pa.family != pb.family:
         return EquivalenceVerdict(INCONCLUSIVE, "NONE")
     if pa.family == EMPTY_TETRA:
@@ -361,7 +367,6 @@ class CensusEntry:
     t: int
     polytope: LatticePolytope
     code: ToricCode = None  # first code with this column key; its kernel batch gives d_brute
-    d_brute: int = 0
     formula: object = None
     class_id: int = -1
 
@@ -375,7 +380,7 @@ class CensusEntry:
             "k": self.code.k,
             "d_formula_lower": self.formula.lower,
             "d_formula_upper": self.formula.upper,
-            "d_brute": self.d_brute,
+            "d_brute": self.code.min_distance_brute().value,
             "class_id": self.class_id,
             # a theorem/witness disagreement raises before any row exists
             "theorem_agrees": True,
@@ -388,7 +393,7 @@ def _census_entries(field: FieldSpec, dim: int):
     a code.  A later tuple is that code with its columns permuted, proved
     by an integer certificate, or else by one witness checked on its own
     code; it then shares the first code.  One kernel pass per batch of the
-    kept codes gives every entry its d_brute."""
+    kept codes gives every entry its distance and weight enumerator."""
     q = field.q
     first, entries = {}, []
     for family, s, t in parameter_sweep(q, dim):
@@ -398,10 +403,8 @@ def _census_entries(field: FieldSpec, dim: int):
             kept = first[key] = build_code(field, poly)
         elif not _certifies(kept, poly.points, _exponent_map(kept, poly.points)):
             witness_equivalence(kept, build_code(field, poly))
-        entries.append(CensusEntry(family, s, t, poly, kept, 0, distance_formula(poly, q)))
+        entries.append(CensusEntry(family, s, t, poly, kept, distance_formula(poly, q)))
     _fill_invariants(list(first.values()))
-    for e in entries:
-        e.d_brute = e.code.min_distance_brute().value
     return entries
 
 
@@ -409,7 +412,9 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     """Set each entry's class_id by union-find, seeded with each entry's
     parent the first entry with its code (entries share a code once their
     merge is certified or witnessed); a theorem EQUIVALENT joins two
-    classes."""
+    classes.  The theorem is asked once of each pair of entries of one
+    family that share s or t, the earlier entry first: no other pair can
+    get a verdict but INCONCLUSIVE (``theorem_verdict``)."""
     first: dict = {}
     parent = [first.setdefault(e.code, i) for i, e in enumerate(entries)]
 
@@ -421,10 +426,16 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
 
     def mismatch(a, b, said):
         names = f"{a.polytope.describe()} vs {b.polytope.describe()}"
-        return TheoremWitnessMismatch(f"q={q}: {names}: {said}; d_brute={a.d_brute},{b.d_brute}")
+        d1, d2 = (e.code.min_distance_brute().value for e in (a, b))
+        return TheoremWitnessMismatch(f"q={q}: {names}: {said}; d_brute={d1},{d2}")
 
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
+    # the sweep's (family, s, t) are distinct, so no pair shares both buckets
+    buckets: dict = {}
+    for i, e in enumerate(entries):
+        buckets.setdefault((e.family, "s", e.s), []).append(i)
+        buckets.setdefault((e.family, "t", e.t), []).append(i)
+    for members in buckets.values():
+        for i, j in combinations(members, 2):
             a, b = entries[i], entries[j]
             thm = theorem_verdict(q, a.polytope, b.polytope)
             if thm.status == INEQUIVALENT and a.code is b.code:

@@ -115,7 +115,8 @@ def _verify_one(q: int) -> list[tuple[str, bool, str | None]]:
     sweeps = {4: "dim4 formula == brute", 5: "dim5 width-1 formulas/bounds"}
     for dim in (4, 5) if q >= 5 else (4,):
         entries = classify._census_entries(field, dim)
-        errors = (_formula_error(q, e.polytope, e.d_brute, e.formula) for e in entries)
+        errors = (_formula_error(q, e.polytope, e.code.min_distance_brute().value, e.formula)
+                  for e in entries)
         error = next(filter(None, errors), None)
         checks.append((sweeps[dim], error is None, error))
         try:

@@ -25,9 +25,10 @@ The kernel runs on a batch of codes that share q, k and m, and
 it keeps together, and a code asked alone runs ``_fill_invariants([code])``.
 The representatives of all (code, support) pairs are numbered in one
 range, and each block of coefficients is built from its index range
-alone, so the small codes of a census are evaluated in a single block.
-Two exact checks guard each code's enumerator: it sums to q^k, and its
-first moment is n(q-1)q^(k-1).
+alone, so the small codes of a census are evaluated in a single block,
+and each block is one accumulation into the batch's counts by weight.
+Each code's enumerator is keyed by ascending weight, and two exact checks
+guard it: it sums to q^k, and its first moment is n(q-1)q^(k-1).
 
 A code's column key, the Hermite normal form of its exponent lattice mod
 q-1 (``_lattice_key``), is read off its points, so codes can be grouped
@@ -172,7 +173,7 @@ class ToricCode:
         self.G.setflags(write=False)
         self.m = len(polytope.points[0])
         self.n = self.G.shape[1]
-        self._enumerated = None  # (d, enumerator), set by _enumerate_batch
+        self._enumerated = None  # (d, enumerator), set by _fill_invariants
 
     def columns(self):
         """Torus points as m-tuples, in column order."""
@@ -230,7 +231,8 @@ class ToricCode:
         return DistanceResult(d, d, "brute")
 
     def weight_enumerator(self) -> dict[int, int]:
-        """weight -> count over all q^k codewords, as a new dict."""
+        """weight -> count over all q^k codewords, as a new dict in
+        ascending weight."""
         return dict(self._invariants[1])
 
     def column_tuples(self) -> np.ndarray:
@@ -279,12 +281,20 @@ def _fill_invariants(codes) -> None:
     One stacked ``_box_sides`` gives every code's boxes.  The codes are cut
     into batches, in order, where a batch's table of scaled rows and weight
     counts would pass _BATCH_BYTES (a code that passes it alone is a batch
-    alone), and each batch is one ``_enumerate_batch``.
+    alone), and each batch is one kernel pass, ``_zero_counts``, that adds
+    every block's codewords into one int64 (codes, n + 1) array of counts by
+    weight: each projective class contributes q-1 codewords of equal
+    weight.  The zero codeword is added to weight 0, so that a nonzero
+    codeword of weight 0 still fails the sum check.  Two exact checks per
+    code: the enumerator sums to q^k, and its first moment is
+    n(q-1)q^(k-1), since every column of G is nonzero and so each
+    coordinate is nonzero on (q-1)q^(k-1) codewords.  The enumerator's keys
+    are its weights in ascending order, so the distance is the second.
     """
-    f, k, m, n = codes[0].field, codes[0].k, codes[0].m, codes[0].n
-    if any((c.field.q, c.k, c.m) != (f.q, k, m) for c in codes):
+    q, k, m, n = codes[0].field.q, codes[0].k, codes[0].m, codes[0].n
+    if any((c.field.q, c.k, c.m) != (q, k, m) for c in codes):
         raise ShapeMismatch("a kernel batch needs codes of one field, k and m")
-    sides = _box_sides([c.polytope.points for c in codes], f.q - 1)
+    sides = _box_sides([c.polytope.points for c in codes], q - 1)
     # a code's table rows and weight counts, in bytes
     sizes = sides.max(axis=1).sum(axis=1) * n + 8 * (n + 1)
     cuts, used = [0], n  # the shared zero row
@@ -294,59 +304,40 @@ def _fill_invariants(codes) -> None:
             used = n
         used += size
     for lo, hi in zip(cuts, [*cuts[1:], len(codes)]):
-        _enumerate_batch(codes[lo:hi], sides[lo:hi])
-
-
-def _enumerate_batch(codes, sides) -> None:
-    """Set (minimum distance, weight enumerator) on each of a batch of
-    codes from one kernel pass, ``sides`` their stacked ``_box_sides``.
-
-    Every projective class contributes q-1 codewords of equal weight.  Two
-    exact checks per code: the enumerator sums to q^k, and its first moment
-    is n(q-1)q^(k-1), since every column of G is nonzero and so each
-    coordinate is nonzero on (q-1)q^(k-1) codewords.  The enumerator's keys
-    run in the order the code's weights are first met, as in a pass of the
-    code alone.
-    """
-    q, k, n = codes[0].field.q, codes[0].k, codes[0].n
-    per_weight = np.zeros((len(codes), n + 1), dtype=np.int64)
-    # each code's weights in order of first appearance, its key order
-    seen = [{0: None} for _ in codes]
-    for c, zeros, classes in _zero_counts(codes, sides):
-        weights = n - zeros
-        np.add.at(per_weight[c], weights, classes)
-        seen[c].update(dict.fromkeys(weights.tolist()))
-    for code, found, counted in zip(codes, seen, per_weight):
-        counts = {w: int(counted[w]) * (q - 1) for w in found}
-        counts[0] += 1  # the zero codeword
-        if sum(counts.values()) != q**k:
-            raise InternalCheckFailed(
-                f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**k}"
-            )
-        moment = sum(w * c for w, c in counts.items())
-        if moment != n * (q - 1) * q ** (k - 1):
-            raise InternalCheckFailed(
-                f"weight enumerator has first moment {moment}, "
-                f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
-            )
-        code._enumerated = (min(w for w in found if w), counts)
+        per_weight = np.zeros((hi - lo, n + 1), dtype=np.int64)
+        for c, zeros, classes in _zero_counts(codes[lo:hi], sides[lo:hi]):
+            np.add.at(per_weight, (c, n - zeros), classes * (q - 1))
+        per_weight[:, 0] += 1  # the zero codeword
+        for code, counted in zip(codes[lo:hi], per_weight):
+            weights = np.flatnonzero(counted != 0)  # a bool scan beats an int64 one
+            counts = dict(zip(weights.tolist(), counted[weights].tolist()))
+            if sum(counts.values()) != q**k:
+                raise InternalCheckFailed(
+                    f"weight enumerator sums to {sum(counts.values())}, not q^k = {q**k}"
+                )
+            moment = sum(w * c for w, c in counts.items())
+            if moment != n * (q - 1) * q ** (k - 1):
+                raise InternalCheckFailed(
+                    f"weight enumerator has first moment {moment}, "
+                    f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
+                )
+            code._enumerated = (int(weights[1]), counts)
+        del per_weight, counted  # before the next batch allocates its counts
 
 
 def _zero_counts(codes, sides):
-    """Yield (c, zeros, classes) for a batch of codes that share one field,
-    k and m: c a code's index in the batch, then two arrays with one entry
-    per torus orbit of that code, the zero count of the orbit's
-    representative and its number of projective classes.  A block yields
-    one run per code it holds rows of.  ``sides`` is the stacked
-    ``_box_sides`` of the codes' points.
+    """Yield (c, zeros, classes) per block for a batch of codes that share
+    one field, k and m: three arrays with one entry per torus orbit in the
+    block, the index in the batch of the orbit's code, the zero count of
+    the orbit's representative and its number of projective classes.
+    ``sides`` is the stacked ``_box_sides`` of the codes' points.
 
     The representatives of all (code, support) pairs are numbered in one
     range: codes in batch order, each code's supports in mask order, each
     support's box in C order.  A block is built from its index range
     alone: a row's pair is found on the cumulative orbit counts, its
     coefficients are alpha to the power of its mixed-radix digits, zero
-    off the support.  So a code's rows come in the order a batch of that
-    code alone gives them, whatever the batch and block bounds.
+    off the support, so a block may hold rows of several codes.
 
     The term of point r of code c is one of few rows, since its digit
     stays below top_cr, the largest side at r over the code's supports.
@@ -378,8 +369,7 @@ def _zero_counts(codes, sides):
     strides = orbits[:, None] // np.cumprod(pair_sides, axis=1)
     ends = np.cumsum(orbits)
     starts, total = ends - orbits, int(ends[-1])
-    code_ends = ends[len(on) - 1 :: len(on)].tolist()
-    c, rows = 0, max(1, _WORD_BYTES // (8 * n))
+    rows = max(1, _WORD_BYTES // (8 * n))
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         index = np.arange(lo, hi)
@@ -393,12 +383,7 @@ def _zero_counts(codes, sides):
             zeros = np.count_nonzero(words == 0, axis=1)
         else:
             zeros = n - np.array([np.count_nonzero(w) for w in words])
-        block, at = classes[pair], lo
-        while at < hi:  # one run of rows per code in the block
-            end = min(hi, code_ends[c])
-            yield c, zeros[at - lo : end - lo], block[at - lo : end - lo]
-            at = end
-            c += end == code_ends[c]
+        yield pair // len(on), zeros, classes[pair]
 
 
 def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from toric3.polytopes import (
     FAMILIES,
     empty_tetrahedron,
     parameter_sweep,
+    parse_polytope_spec,
     width1_representative,
     width2_representative,
 )
@@ -186,6 +187,29 @@ def test_lattice_mapped_pairs_across_params_are_inconclusive(q):
         assert theorem_verdict(q, pa, pb).status == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_only_pairs_sharing_a_family_and_s_or_t_get_a_verdict(q):
+    # every criterion needs equal s or equal t, so the census asks the
+    # theorem only pairs of one family that share s or t (P22 and P31 as
+    # s = t = 0); every other ordered pair must be INCONCLUSIVE
+    polys = [FAMILIES[f].make(s, t) for dim in (4, 5) for f, s, t in parameter_sweep(q, dim)]
+    polys += [parse_polytope_spec(f"W2:{i}") for i in range(1, 10)]
+    polys += [parse_polytope_spec(f"E:{i}") for i in range(1, 5)]
+
+    def buckets(p):
+        s, t = p.params if len(p.params) == 2 else (0, 0)
+        return {(p.family, "s", s), (p.family, "t", t)}
+
+    decided = [
+        (pa.describe(), pb.describe(), v.detail)
+        for pa in polys
+        for pb in polys
+        if not buckets(pa) & buckets(pb)
+        and (v := theorem_verdict(q, pa, pb)).status != INCONCLUSIVE
+    ]
+    assert not decided, (q, decided[:5])
+
+
 def test_no_criterion_for_width2_pairs():
     for row in (1, 2):
         v = theorem_verdict(7, width2_representative(1), width2_representative(row))
@@ -289,7 +313,7 @@ class TestCensus:
         for e in entries:
             by_class.setdefault(e.class_id, []).append(e)
         for members in by_class.values():
-            assert len({m.d_brute for m in members}) == 1
+            assert len({m.code.min_distance_brute().value for m in members}) == 1
 
     def test_rows_are_serializable(self):
         import json

@@ -75,14 +75,18 @@ def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypa
 
 def test_witness_fallback_reads_the_cached_invariants(passes):
     # GF(7) T(1,3) and T(2,3): the column match fails and the distances
-    # agree, so the fallback compares both invariants.
+    # agree, so the fallback compares both invariants, from one pass of both
     field = make_field(7)
     c1, c2 = (build_code(field, empty_tetrahedron(s, 3)) for s in (1, 2))
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
-    assert passes == [[c1], [c2]]
+    assert passes == [[c1, c2]]
     passes.clear()
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
     assert not passes
+    # with one code enumerated, the pass holds only the other
+    c3 = build_code(field, empty_tetrahedron(1, 3))
+    assert witness_equivalence(c3, c2).status == INCONCLUSIVE
+    assert passes == [[c3]]
 
 
 def test_weight_enumerator_returns_a_new_dict():
@@ -94,10 +98,10 @@ def test_weight_enumerator_returns_a_new_dict():
     assert code.weight_enumerator() == expected
 
 
-def test_enumerator_keys_keep_the_order_weights_are_first_met():
+def test_enumerator_keys_ascend():
     # `equiv` prints a separating enumerator in this order
     code = build_code(make_field(7), parse_polytope_spec("P21(0,1)"))
-    assert list(code.weight_enumerator()) == [0, 216, 180, 186, 144, 192, 185, 184]
+    assert list(code.weight_enumerator()) == [0, 144, 180, 184, 185, 186, 192, 216]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
@@ -105,15 +109,15 @@ def test_kernel_yields_integers_only(q):
     # one arithmetic branch each: add mod p, XOR, add-table gather
     code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
     sides = _box_sides([code.polytope.points], q - 1)
-    for c, *arrays in codes._zero_counts([code], sides):
-        assert c == 0 and len(arrays) == 2
+    for arrays in codes._zero_counts([code], sides):
+        assert len(arrays) == 3 and not arrays[0].any()
         assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
 
 
 def _one_block(monkeypatch, zeros, classes):
     """The kernel replaced by one block of one orbit of the first code."""
-    block = (0, np.array([zeros]), np.array([classes]))
+    block = (np.array([0]), np.array([zeros]), np.array([classes]))
     monkeypatch.setattr(codes, "_zero_counts", lambda batch, sides: iter([block]))
 
 
@@ -122,6 +126,21 @@ def test_kernel_enumerator_sum_check(monkeypatch):
     # a single projective class
     _one_block(monkeypatch, 2, 1)
     with pytest.raises(InternalCheckFailed, match="sums to"):
+        code.weight_enumerator()
+
+
+def test_a_nonzero_codeword_of_weight_0_fails_the_sum_check(monkeypatch):
+    # the zero codeword is added to weight 0, not written over it, so one
+    # more orbit of weight 0 makes the sum q - 1 too large
+    code = build_code(make_field(5), empty_tetrahedron(1, 2))
+    kernel = codes._zero_counts
+
+    def with_a_zero_word(batch, sides):
+        yield from kernel(batch, sides)
+        yield np.array([0]), np.array([code.n]), np.array([1])
+
+    monkeypatch.setattr(codes, "_zero_counts", with_a_zero_word)
+    with pytest.raises(InternalCheckFailed, match="sums to 629,"):
         code.weight_enumerator()
 
 

@@ -208,8 +208,17 @@ def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     dim4_theorem_verdict(7, 1, 4, 3, 4)
     dim5_theorem_verdict(7, (2, 2), (0, 0), (2, 1), (1, 3))
     assert pairs == [("T(1,4)", "T(3,4)"), ("P22", "P21(1,3)")]
-    entries = census(make_field(5), 4)
-    assert len(pairs) == 2 + len(entries) * (len(entries) - 1) // 2
+    # the census asks each pair of one family that shares s or t once,
+    # the earlier entry first, and no other pair
+    entries = census(make_field(5), 5)
+    scoped = [
+        (a.polytope.describe(), b.polytope.describe())
+        for i, a in enumerate(entries)
+        for b in entries[i + 1 :]
+        if a.family == b.family and (a.s == b.s or a.t == b.t)
+    ]
+    assert sorted(pairs[2:]) == sorted(scoped)
+    assert len(scoped) == 5 < len(entries) * (len(entries) - 1) // 2 == 36
 
 
 @pytest.mark.parametrize("make", [

@@ -54,7 +54,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "toric3"
 DISTANCE_PATH = {
     "codes.py": {
         "build_generator_matrix", "_words", "_add_words", "_zero_counts", "_box_sides",
-        "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants", "_enumerate_batch",
+        "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants",
         "_lattice_key", "_orbit_box", "_extended_gcd",
     },
     "classify.py": {"_exponent_map", "_certifies"},
