@@ -11,11 +11,11 @@ Two routes are kept deliberately independent and cross-checked:
   unit determinant send P32(1,1) onto P32(1,2) and P22 onto P32(1,3);
 * a constructive witness test — equal column keys (the Hermite normal
   form of each code's exponent lattice), so equal column multisets, give an
-  exponent map E2 = E1*A mod q-1 and from it, with no sort, the column
-  permutation a stable sort of both column lists would give (the
-  rank-in-fiber argument is in ``_lattice_perm``), checked on G with the
-  diagonal fixed to the identity; separating invariants (minimum
-  distance, weight enumerator) back it when the keys differ.
+  exponent map E2 = E1*A mod q-1 with det A a unit mod q-1
+  (``_unit_exponent_map``), and from it the column permutation x -> A*x,
+  checked on G with the diagonal fixed to the identity; separating
+  invariants (minimum distance, weight enumerator) back it when the keys
+  differ.
 
 Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
@@ -23,19 +23,18 @@ a differing invariant upgrades it to INEQUIVALENT.
 
 The census keys each parameter tuple by its points alone (``_lattice_key``)
 and builds a code only for the first tuple with a key.  A later tuple with
-that key is proved to be the first code with its columns permuted, by an
-integer certificate when it holds (``_certifies``: E2 = E1*A mod q-1 with
-det A a unit mod q-1, no G read) and else by one witness checked on G.  The
-kept codes are enumerated together, one kernel pass per batch
-(``codes._fill_invariants``), and theorems are checked on every pair that
-shares a family and s or t, the only pairs they can decide.
+that key is proved to be the first code with its columns permuted by the
+same exponent map, an integer certificate with no G read; equal keys with
+no such map raise InternalCheckFailed.  The kept codes are enumerated
+together, one kernel pass per batch (``codes._fill_invariants``), and
+theorems are checked on every pair that shares a family and s or t, the
+only pairs they can decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import numpy as np
@@ -55,7 +54,7 @@ from .polytopes import (
     SIG32,
     WIDTH1_SIGNATURES,
     LatticePolytope,
-    det3,
+    det,
     empty_tetrahedron,
     parameter_sweep,
     white_canonical,
@@ -65,6 +64,7 @@ from .polytopes import (
 EQUIVALENT = "EQUIVALENT"
 INEQUIVALENT = "INEQUIVALENT"
 INCONCLUSIVE = "INCONCLUSIVE"
+_NO_UNIT_MAP = "no exponent map E2 = E1*A mod q-1 has det A a unit"
 
 
 @dataclass(frozen=True)
@@ -83,121 +83,83 @@ class EquivalenceVerdict:
         return d
 
 
-def _lattice_perm(c1: ToricCode, c2: ToricCode) -> np.ndarray | None:
-    """perm[x] = the column of G1 that column x of G2 equals, the one a
-    stable sort of both column lists would pair it with; None when no
-    integer A has E2 = E1*A mod q-1 (E the points as rows).
+def _unit_exponent_map(c1: ToricCode, points) -> list[list[int]] | None:
+    """An m x m matrix A, entries mod q-1, with E2 = E1*A mod q-1, checked
+    entry by entry, and gcd(det A, q-1) = 1, E2 the k points ``points`` as
+    rows and E1 those of c1; None when the column keys differ.
 
-    Column x of G2 holds alpha^(E2*x) = alpha^(E1*(A*x)), so z = A*x mod
-    q-1 is a column of G1 equal to it.  A column repeats once per point of
-    its fiber, a coset of ker(E mod q-1) in the torus; a stable sort pairs
-    the j-th point of an E2-fiber with the j-th point of the E1-fiber of
-    z.  With ker(E mod q-1) + (q-1)*Z^m in triangular form (the kernel of
-    ``_tracked_basis``, pivots d_j dividing q-1), a point's lexicographic
-    rank in its fiber is the mixed-radix number of digits x_j div d_j,
-    radices (q-1)/d_j: given the earlier axes, axis j runs over one
-    residue class mod d_j.  So x's rank in its E2-fiber is read off x, and
-    z is moved to the point of that rank in its E1-fiber one axis at a
-    time, axis j along the kernel row with pivot j, which keeps the earlier
-    axes and the column.  A need not be invertible.
+    Such an A proves that the code of ``points`` is c1 with its columns
+    permuted, G2 = G1[:, A*x], with no G read: column x of G2 is
+    alpha^(E2*x) = alpha^(E1*(A*x)), and x -> A*x is a bijection of the
+    torus as det A is a unit mod q-1 (Little & Schwarz 2007).
+
+    A0 comes from back-substituting each column of E2 into the triangular
+    basis of c1's ``_tracked_basis``, whose pairs (b, c) have b = E1*c mod
+    q-1: the column is a sum of a_i * b_i, so E1 times the sum of a_i * c_i.
+    Every other solution is A0 + K, the columns of K in ker(E1 mod q-1),
+    whose basis rows h_i are the kernel of ``_tracked_basis``.  When
+    gcd(det A0, q-1) = 1, A0 is the answer.  Otherwise, for each prime p
+    dividing gcd(det A0, q-1), 0/1 multiples of the h_i are added to A0's
+    columns until det is nonzero mod p.  The primes' choices are joined by
+    CRT: each is scaled by a number that is 1 mod p and 0 mod every other
+    prime of q-1, so it leaves det mod those primes as it was.
+
+    Why the search cannot miss when the keys are equal: over Z/p^e, E1 and
+    E2 map the free module (Z/p^e)^m onto one image, and two such maps
+    differ by an automorphism (projective covers over a local ring), so
+    some A0 + K is invertible mod p.  det(A0 + K) mod p is multilinear in
+    the m^2 coefficients of the h_i, since each coefficient enters one
+    column linearly, and a multilinear polynomial over F_p that is nonzero
+    somewhere is nonzero at a 0/1 point.  So at most 2^(m^2) = 512
+    determinants are needed per prime.  When the keys differ, no A0 exists,
+    or no unit A does, as one would make the lattices equal.
     """
-    n1 = c1.field.q - 1
-    kernel1 = c1._tracked_basis[1]
-    A = _exponent_map(c1, c2.polytope.points)
-    if A is None:
-        return None
-    units = np.arange(n1, dtype=np.uint16)
-    steps = np.array(A, dtype=np.uint16)[:, :, None] * units % n1
-    z = _log_sums(steps, n1)  # (m, n): z = A*x at every column x
-    radix = [n1 // h[j] for j, h in enumerate(kernel1)]
-    if prod(radix) > 1:
-        rank = _fiber_rank(c2._tracked_basis[1], n1)
-        for j, h in enumerate(kernel1):
-            if radix[j] > 1:
-                r = radix[j]
-                high = rank // prod(radix[j + 1 :])
-                digit = (high - high // r * r).astype(np.uint16)
-                # steps along h that bring z_j's digit to digit, taken mod
-                # r: r steps move z by (q-1)/d_j * h, inside its fiber
-                turn = digit + np.uint16(r) - z[j] // np.uint16(h[j])
-                np.minimum(turn, turn - np.uint16(r), out=turn)
-                z[j:] += turn * np.array(h[j:], dtype=np.uint16)[:, None]
-                z[j:] -= z[j:] // np.uint16(n1) * np.uint16(n1)
-    perm = z[0].astype(np.intp)
-    for axis in z[1:]:
-        perm *= n1
-        perm += axis
-    return perm
-
-
-def _exponent_map(c1: ToricCode, points) -> list[list[int]] | None:
-    """An integer m x m matrix A with E2 = E1*A mod q-1, E2 the k points
-    ``points`` as rows and E1 those of c1, or None when none exists.
-
-    Each column of E2 is back-substituted into the triangular basis of
-    c1's ``_tracked_basis``, whose pairs (b, c) have b = E1*c mod q-1: the
-    column is a sum of a_i * b_i, so E1 times the sum of a_i * c_i."""
-    n1, m = c1.field.q - 1, c1.m
+    n1, m, (basis, kernel) = c1.field.q - 1, c1.m, c1._tracked_basis
     columns = []  # of A
     for v in map(list, zip(*points)):
         column = [0] * m
-        for i, (b, c) in enumerate(c1._tracked_basis[0]):
+        for i, (b, c) in enumerate(basis):
             a, rest = divmod(v[i], b[i])
             if rest:
                 return None
             if a:
                 v = [x - a * y for x, y in zip(v, b)]
                 column = [x + a * y for x, y in zip(column, c)]
-        columns.append([x % n1 for x in column])
-    return [list(row) for row in zip(*columns)]
+        columns.append(column)
 
+    def shifted(coef):  # the columns, coef[m*j + i] times h_i added to column j
+        return [[a + sum(x * h[r] for x, h in zip(coef[m * j :], kernel))
+                 for r, a in enumerate(col)] for j, col in enumerate(columns)]
 
-def _certifies(c1: ToricCode, points, A: list[list[int]] | None) -> bool:
-    """True when A proves in integers that the code of ``points`` (k and m
-    as c1's) is c1 with its columns permuted: E2 = E1*A mod q-1, checked
-    entry by entry, and gcd(det3(A), q-1) = 1; every census code is 3-D, so
-    another A leaves its merge to the witness.  A is ``_exponent_map``'s,
-    None when there is none.
-
-    Column x of G2 is alpha^(E2*x) = alpha^(E1*(A*x)), column A*x of G1,
-    and x -> A*x mod q-1 is a bijection of the torus when det A is a unit
-    mod q-1.  So G2 = G1[:, A*x], and neither G is read: this is the
-    lattice-map argument of Little & Schwarz (2007).  The permutation may
-    differ from the witness's where columns repeat."""
-    if A is None:
-        return False
-    n1 = c1.field.q - 1
-    columns = list(zip(*A))
+    if (d := gcd(det(columns), n1)) > 1:
+        primes = [p for p in range(2, n1 + 1) if n1 % p == 0 and all(p % r for r in range(2, p))]
+        coef = [0] * (m * m)
+        for p in (p for p in primes if d % p == 0):
+            bits = next((b for b in product((0, 1), repeat=m * m) if det(shifted(b)) % p), None)
+            if bits is None:
+                return None
+            others = prod(primes) // p
+            coef = [x + others * pow(others, -1, p) * y for x, y in zip(coef, bits)]
+        columns = shifted(coef)
+        if gcd(det(columns), n1) > 1:
+            return None
     for e1, e2 in zip(c1.polytope.points, points):
         for column, e in zip(columns, e2):
             if (sum(a * b for a, b in zip(e1, column)) - e) % n1:
-                return False
-    return len(A) == 3 and gcd(det3(*A), n1) == 1
-
-
-def _fiber_rank(kernel: list, n1: int) -> np.ndarray:
-    """Each torus point's rank in its fiber, in column order, from the
-    fiber lattice's triangular basis ``kernel`` (see ``_lattice_perm``)."""
-    pivots = [h[j] for j, h in enumerate(kernel)]
-    radix = [n1 // d for d in pivots]
-    units = np.arange(n1, dtype=np.int32)
-    tables = [units // d * prod(radix[j + 1 :]) for j, d in enumerate(pivots)]
-    return reduce(np.add.outer, tables).reshape(-1)
+                return None
+    return [[x % n1 for x in row] for row in zip(*columns)]
 
 
 def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
     """Constructive test: equal column keys, so equal column multisets,
-    give an explicit permutation witness from the exponent lattice
-    (``_lattice_perm``, the one a stable sort of both column lists would
-    give), checked to be a bijection and checked on G; unequal keys are
-    INEQUIVALENT only when a separating invariant corroborates, else
-    INCONCLUSIVE."""
+    give an explicit permutation witness, perm[x] = A*x mod q-1 for the
+    unit-determinant exponent map A of ``_unit_exponent_map``, checked to
+    be a bijection and checked on G; unequal keys are INEQUIVALENT only
+    when a separating invariant corroborates, else INCONCLUSIVE."""
     if c1.field.q != c2.field.q:
         raise ShapeMismatch("codes live over different fields")
     if c1.n != c2.n or c1.k != c2.k:
-        raise ShapeMismatch(
-            f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]"
-        )
+        raise ShapeMismatch(f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]")
     if c1._column_key == c2._column_key:
 
         def failed(why):
@@ -206,9 +168,15 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
                 f"{names}: column multisets match, yet G1[:, perm] != G2 ({why})"
             )
 
-        perm = _lattice_perm(c1, c2)
-        if perm is None:
-            raise failed("no exponent map E2 = E1*A mod q-1")
+        if (A := _unit_exponent_map(c1, c2.polytope.points)) is None:
+            raise failed(_NO_UNIT_MAP)
+        n1 = c1.field.q - 1
+        steps = np.array(A, dtype=np.uint16)[:, :, None] * np.arange(n1, dtype=np.uint16) % n1
+        z = _log_sums(steps, n1)  # (m, n): z = A*x at every column x
+        perm = z[0].astype(np.intp)
+        for axis in z[1:]:
+            perm *= n1
+            perm += axis
         hit = np.zeros(c1.n, dtype=bool)
         hit[perm] = True
         if not hit.all():
@@ -391,9 +359,10 @@ def _census_entries(field: FieldSpec, dim: int):
     """One entry per in-scope parameter tuple.  A tuple's column key is read
     off its points (``_lattice_key``); only the first tuple with a key gets
     a code.  A later tuple is that code with its columns permuted, proved
-    by an integer certificate, or else by one witness checked on its own
-    code; it then shares the first code.  One kernel pass per batch of the
-    kept codes gives every entry its distance and weight enumerator."""
+    by an integer certificate (``_unit_exponent_map``), and shares it;
+    equal keys with no certificate raise InternalCheckFailed naming both
+    polytopes.  One kernel pass per batch of the kept codes gives every
+    entry its distance and weight enumerator."""
     q = field.q
     first, entries = {}, []
     for family, s, t in parameter_sweep(q, dim):
@@ -401,8 +370,9 @@ def _census_entries(field: FieldSpec, dim: int):
         kept = first.get(key := _lattice_key(poly.points, q - 1))
         if kept is None:
             kept = first[key] = build_code(field, poly)
-        elif not _certifies(kept, poly.points, _exponent_map(kept, poly.points)):
-            witness_equivalence(kept, build_code(field, poly))
+        elif _unit_exponent_map(kept, poly.points) is None:
+            names = f"{kept.polytope.describe()} vs {poly.describe()}"
+            raise InternalCheckFailed(f"q={q}: {names}: column keys match, yet {_NO_UNIT_MAP}")
         entries.append(CensusEntry(family, s, t, poly, kept, distance_formula(poly, q)))
     _fill_invariants(list(first.values()))
     return entries
@@ -411,10 +381,10 @@ def _census_entries(field: FieldSpec, dim: int):
 def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     """Set each entry's class_id by union-find, seeded with each entry's
     parent the first entry with its code (entries share a code once their
-    merge is certified or witnessed); a theorem EQUIVALENT joins two
-    classes.  The theorem is asked once of each pair of entries of one
-    family that share s or t, the earlier entry first: no other pair can
-    get a verdict but INCONCLUSIVE (``theorem_verdict``)."""
+    merge is certified); a theorem EQUIVALENT joins two classes.  The
+    theorem is asked once of each pair of entries of one family that share
+    s or t, the earlier entry first: no other pair can get a verdict but
+    INCONCLUSIVE (``theorem_verdict``)."""
     first: dict = {}
     parent = [first.setdefault(e.code, i) for i, e in enumerate(entries)]
 
@@ -456,10 +426,9 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
 def census(field: FieldSpec, dim: int):
     """Group every in-scope parameter tuple into monomial-equivalence
     classes: a tuple with an earlier tuple's column key by an integer
-    certificate or else one witness checked on G, after which both
-    entries share the first code; any pair by a theorem EQUIVALENT
-    verdict.  A theorem
-    INEQUIVALENT between entries sharing a code, or a class whose weight
-    enumerators differ, raises TheoremWitnessMismatch with reproduction data.
+    certificate, after which both entries share the first code; any pair
+    by a theorem EQUIVALENT verdict.  A theorem INEQUIVALENT between
+    entries sharing a code, or a class whose weight enumerators differ,
+    raises TheoremWitnessMismatch with reproduction data.
     """
     return _group_classes(field.q, _census_entries(field, dim))

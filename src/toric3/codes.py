@@ -246,7 +246,8 @@ class ToricCode:
 
     @cached_property
     def _tracked_basis(self) -> tuple[list, list]:
-        """(basis, kernel) of the exponent lattice, reduced once for a witness.
+        """(basis, kernel) of the exponent lattice, reduced once for the
+        exponent maps of ``classify._unit_exponent_map``.
 
         One ``_orbit_box`` of the points over the m x m identity reduces
         E*Z^m + (q-1)*Z^k while each generator carries an exponent vector

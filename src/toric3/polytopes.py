@@ -23,7 +23,12 @@ from .errors import (
 Point = tuple[int, int, int]
 
 
-def det3(r0, r1, r2) -> int:
+def det(rows) -> int:
+    """Exact determinant of a square integer matrix of order 1 to 3, given
+    as rows or as columns; a smaller order is bordered by a diagonal 1."""
+    if len(rows) < 3:
+        return det([(1,) + (0,) * len(rows), *((0, *r) for r in rows)])
+    r0, r1, r2 = rows
     return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
@@ -41,7 +46,7 @@ def det4(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     homogeneous rows (1, p), which is det(p1 - p0, p2 - p0, p3 - p0), the
     signed normalized volume of their tetrahedron; 0 iff coplanar."""
     _require_3d((p0, p1, p2, p3))
-    return det3(*((a - p0[0], b - p0[1], c - p0[2]) for a, b, c in (p1, p2, p3)))
+    return det([(a - p0[0], b - p0[1], c - p0[2]) for a, b, c in (p1, p2, p3)])
 
 
 # Family tags
@@ -105,7 +110,7 @@ class AffineUnimodularMap:
         if len(self.matrix) != 3:
             raise DegenerateConfiguration(f"a map of Z^3 needs 3 matrix rows; got {len(self.matrix)}")
         _require_3d((*self.matrix, self.shift))
-        if abs(det3(*self.matrix)) != 1:
+        if abs(det(self.matrix)) != 1:
             raise InvalidParams("matrix must have determinant +-1")
 
     def apply_point(self, p: Point) -> Point:

@@ -70,13 +70,18 @@ def all_pairs_classes(q, entries):
     return [roots.setdefault(find(i), len(roots)) for i in range(len(entries))]
 
 
-def certificate_holds(c1, c2, A) -> bool:
-    """True when x -> A*x mod q-1 is a bijection of the torus and
-    G2 == G1[:, A*x]: an integer certificate checked on G, with the map
+def exponent_perm(c1, A) -> np.ndarray:
+    """perm[x] = the column A*x mod q-1 of c1's torus at every column x,
     as one int64 product of A with the torus log grid."""
     n1, m = c1.field.q - 1, c1.m
     z = np.array(A, dtype=np.int64) @ _torus_logs(n1, m) % n1
-    perm = np.ravel_multi_index(tuple(z), (n1,) * m)
+    return np.ravel_multi_index(tuple(z), (n1,) * m)
+
+
+def certificate_holds(c1, c2, A) -> bool:
+    """True when x -> A*x mod q-1 is a bijection of the torus and
+    G2 == G1[:, A*x]: an integer certificate checked on G."""
+    perm = exponent_perm(c1, A)
     return len(np.unique(perm)) == c1.n and np.array_equal(c1.G[:, perm], c2.G)
 
 

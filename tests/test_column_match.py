@@ -4,6 +4,7 @@ evaluator, each against a plain Python reference."""
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,19 +15,22 @@ from toric3.codes import ToricCode, _lattice_key, _orbit_box, build_code
 from toric3.errors import InternalCheckFailed
 from toric3.galois import make_field
 from toric3.polytopes import (
+    EMBEDDED_POLYGON,
     FAMILIES,
+    WIDTH2,
     LatticePolytope,
+    det,
     empty_tetrahedron,
     parameter_sweep,
     parse_polytope_spec,
 )
 
-from oracle import certificate_holds, is_hermite_normal_form
+from oracle import certificate_holds, exponent_perm, is_hermite_normal_form
 
 
 def _reference_perm(c1, c2):
-    """The witness permutation by a stable Python sort of the column
-    tuples, or None when the column multisets differ."""
+    """A permutation pairing equal columns, by a stable Python sort of the
+    column tuples, or None when the column multisets differ."""
     cols1, cols2 = (list(map(tuple, c.G.T.tolist())) for c in (c1, c2))
     order1 = sorted(range(c1.n), key=cols1.__getitem__)
     order2 = sorted(range(c2.n), key=cols2.__getitem__)
@@ -47,12 +51,15 @@ def test_witness_permutation_equals_the_reference(q, dim):
     for c1, c2 in combinations(codes, 2):
         wit = witness_equivalence(c1, c2)
         ref = _reference_perm(c1, c2)
-        assert (wit.evidence_kind == "WITNESS") == (ref is not None)
+        A = classify._unit_exponent_map(c1, c2.polytope.points)
+        # equal column multisets, and only they, give a certificate and a witness
+        assert (A is not None) == (ref is not None) == (wit.evidence_kind == "WITNESS")
         if ref is not None:
             assert wit.status == EQUIVALENT
-            assert wit.detail.tolist() == ref
+            assert certificate_holds(c1, c2, A)
+            assert np.array_equal(wit.detail, exponent_perm(c1, A))
             matched += 1
-            # repeated columns, where only a stable sort gives the reference
+            # repeated columns, where many permutations pair equal columns
             tied += np.unique(c1.G, axis=1).shape[1] < c1.n
     assert matched and tied
 
@@ -158,7 +165,8 @@ CENSUS_RUNS = [(q, 4) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)] +
 
 @pytest.mark.parametrize("q, dim", CENSUS_RUNS)
 def test_every_census_witness_is_the_stable_sort_permutation(q, dim):
-    # the census's witnesses: each code against the first code with its key
+    # each code against the first code with its key: the witness is x -> A*x,
+    # checked on G, and the stable-sort permutation where no column repeats
     field = make_field(q)
     first = {}
     witnessed = 0
@@ -166,34 +174,55 @@ def test_every_census_witness_is_the_stable_sort_permutation(q, dim):
         code = build_code(field, FAMILIES[family].make(s, t))
         if (kept := first.setdefault(code._column_key, code)) is not code:
             wit = witness_equivalence(kept, code)
-            assert np.array_equal(wit.detail, _stable_sort_perm(kept, code))
+            A = classify._unit_exponent_map(kept, code.polytope.points)
+            assert certificate_holds(kept, code, A)
+            assert np.array_equal(wit.detail, exponent_perm(kept, A))
+            if not _repeats_a_column(kept):
+                assert np.array_equal(wit.detail, _stable_sort_perm(kept, code))
             witnessed += 1
     assert witnessed
 
 
-CERTIFIED_RUNS = [(q, 4) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
-    (q, 5) for q in (5, 7, 8, 9, 11, 13, 16)
-]
-
-
-@pytest.mark.parametrize("q, dim", CERTIFIED_RUNS)
+@pytest.mark.parametrize("q, dim", CENSUS_RUNS)
 def test_every_census_certificate_permutes_the_columns_of_g(q, dim):
-    # the census's certificates, each checked on both codes' G by the oracle
+    # the census sweep with E:1-4 (dim 4) or W2:1-9 (dim 5) added: every code
+    # whose key an earlier code has gets a unit-determinant A, checked on both
+    # codes' G by the oracle for q <= 16
     field = make_field(q)
+    extra, count = [(EMBEDDED_POLYGON, 4), (WIDTH2, 9)][dim - 4]
+    polys = [FAMILIES[f].make(s, t) for f, s, t in parameter_sweep(q, dim)]
+    polys += [FAMILIES[extra].make(i) for i in range(1, count + 1)]
     first = {}
     certified = 0
-    for family, s, t in parameter_sweep(q, dim):
-        poly = FAMILIES[family].make(s, t)
+    for poly in polys:
+        if len({tuple(a % (q - 1) for a in p) for p in poly.points}) < poly.k:
+            continue  # two points collide mod q-1: no code over GF(q)
         key = _lattice_key(poly.points, q - 1)
         if key not in first:
             first[key] = build_code(field, poly)
             continue
         kept = first[key]
-        A = classify._exponent_map(kept, poly.points)
-        if classify._certifies(kept, poly.points, A):
+        A = classify._unit_exponent_map(kept, poly.points)
+        assert A is not None and gcd(det(A), q - 1) == 1, poly.describe()
+        if q <= 16:
             assert certificate_holds(kept, build_code(field, poly), A), poly.describe()
-            certified += 1
+        certified += 1
     assert certified
+
+
+def test_gf7_singular_first_map_is_certified_by_the_kernel_search(monkeypatch):
+    # P21(1,2) ~ P21(1,4) over GF(7): back-substitution gives A0 = diag(1, 2, 1),
+    # even det, and adding 1 times the kernel row (0, 3, 0) to its middle
+    # column gives diag(1, 5, 1), a unit mod 6
+    field = make_field(7)
+    c1, c2 = (build_code(field, parse_polytope_spec(f"P21(1,{t})")) for t in (2, 4))
+    assert c1._tracked_basis[1] == [[6, 0, 0], [0, 3, 0], [0, 0, 6]]
+    dets = []
+    monkeypatch.setattr(classify, "det", lambda rows: dets.append(rows) or det(rows))
+    A = classify._unit_exponent_map(c1, c2.polytope.points)
+    assert dets[0] == [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
+    assert A == [[1, 0, 0], [0, 5, 0], [0, 0, 1]]
+    assert certificate_holds(c1, c2, A)
 
 
 def _repeats_a_column(code):
@@ -221,13 +250,16 @@ def test_tied_census_witnesses_equal_the_reference(q, dim):
     pairs = _tied_census_pairs(q, dim)
     assert pairs
     for c1, c2 in pairs[:8]:
-        assert witness_equivalence(c1, c2).detail.tolist() == _reference_perm(c1, c2)
+        A = classify._unit_exponent_map(c1, c2.polytope.points)
+        assert _reference_perm(c1, c2) is not None and certificate_holds(c1, c2, A)
+        assert np.array_equal(witness_equivalence(c1, c2).detail, exponent_perm(c1, A))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 16])
 def test_witness_on_related_points_equals_the_reference(q):
-    # any exponent map E2 = E1*A mod q-1, invertible or not, on m = 1, 2, 3;
-    # first coordinates spaced by a divisor p of q-1 repeat every column p times
+    # points related by a unimodular map, on m = 1, 2, 3, whose first exponent
+    # map A0 may be singular mod q-1; first coordinates spaced by a divisor p
+    # of q-1 repeat every column p times
     rng, field = random.Random(q), make_field(q)
     p = min(d for d in range(2, q) if (q - 1) % d == 0)
     matched, tied = Counter(), Counter()
@@ -241,9 +273,13 @@ def test_witness_on_related_points_equals_the_reference(q):
             c1 = build_code(field, LatticePolytope(tuple(pts)))
             for _ in range(3):
                 c2 = build_code(field, LatticePolytope(tuple(_related_points(rng, q, pts))))
+                A = classify._unit_exponent_map(c1, c2.polytope.points)
                 if c1._column_key != c2._column_key:
+                    assert A is None and _reference_perm(c1, c2) is None
                     continue
-                assert witness_equivalence(c1, c2).detail.tolist() == _reference_perm(c1, c2)
+                assert _reference_perm(c1, c2) is not None and certificate_holds(c1, c2, A)
+                wit = witness_equivalence(c1, c2)
+                assert np.array_equal(wit.detail, exponent_perm(c1, A))
                 # the witness reads basis and kernel as one normal form gives them
                 basis, kernel = c1._tracked_basis
                 rows = [b + c for b, c in basis] + [[0] * c1.k + h for h in kernel]
@@ -253,20 +289,25 @@ def test_witness_on_related_points_equals_the_reference(q):
     assert all(matched[m] and tied[m] for m in (1, 2, 3)), (matched, tied)
 
 
-def test_a_faked_key_with_a_non_bijective_map_raises():
+def test_a_faked_key_with_a_non_bijective_map_raises(monkeypatch):
     field = make_field(5)
     c1, c2 = (build_code(field, empty_tetrahedron(s, t)) for s, t in ((0, 1), (1, 2)))
-    # E2 = E1*A mod 4 with A = diag(1, 2, 1): z = A*x hits half the torus,
-    # yet it maps each column of G2 to an equal column of G1
-    perm = classify._lattice_perm(c1, c2)
-    assert len(np.unique(perm)) < c1.n
-    assert np.array_equal(c1.G[:, perm], c2.G)
     c2._column_key = c1._column_key
-    with pytest.raises(InternalCheckFailed, match="T.0,1. vs T.1,2.*not a bijection"):
+    # E2 = E1*A mod 4 holds for this A of det 2, but for no A of odd det:
+    # the lattices differ, so the kernel search finds no unit determinant
+    singular = [[1, 0, 0], [1, 2, 0], [0, 0, 1]]
+    assert certificate_holds(c1, c2, singular) is False
+    assert np.array_equal(c1.G[:, exponent_perm(c1, singular)], c2.G)
+    with pytest.raises(InternalCheckFailed, match="T.0,1. vs T.1,2.*no exponent map"):
         witness_equivalence(c1, c2)
     # the other way round, E1 = E2*A mod 4 has no solution
     with pytest.raises(InternalCheckFailed, match="T.1,2. vs T.0,1.*no exponent map"):
         witness_equivalence(c2, c1)
+    # handed the singular map, z = A*x hits half the torus, yet it maps each
+    # column of G2 to an equal column of G1: the bijection check stops it
+    monkeypatch.setattr(classify, "_unit_exponent_map", lambda c1, points: singular)
+    with pytest.raises(InternalCheckFailed, match="T.0,1. vs T.1,2.*not a bijection"):
+        witness_equivalence(c1, c2)
 
 
 @pytest.fixture
@@ -283,17 +324,15 @@ def sorts(monkeypatch):
 
 
 def test_census_sorts_no_columns(sorts, monkeypatch):
-    # GF(7) width 1: 18 entries, 3 with the key of an earlier entry; 2 are
-    # proved by an integer certificate, 1 (a singular A) by a witness,
-    # on codes with repeated columns
+    # GF(7) width 1: 18 entries, 3 with the key of an earlier entry, all 3
+    # proved by an integer certificate, 1 after the kernel search; no witness
     witnessed = []
     witness = classify.witness_equivalence
     monkeypatch.setattr(
         classify, "witness_equivalence", lambda c1, c2: witnessed.append(c2) or witness(c1, c2)
     )
     entries = census(make_field(7), 5)
-    assert len(entries) == 18 and len(witnessed) == 1
-    assert _repeats_a_column(witnessed[0])
+    assert len(entries) == 18 and witnessed == []
     assert sorts == []
 
 

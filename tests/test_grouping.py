@@ -1,7 +1,7 @@
 """Census grouping: each code whose column key an earlier code has is
 proved to be that code with its columns permuted, by an integer
-certificate or else one witness checked on G; one code kept per key,
-theorem verdicts on every pair, each against the all-pairs reference."""
+certificate with no G read; one code kept per key, theorem verdicts on
+every pair, each against the all-pairs reference."""
 
 import gc
 import re
@@ -20,7 +20,7 @@ from toric3.classify import (
     census,
 )
 from toric3.codes import ToricCode, _lattice_key
-from toric3.errors import TheoremWitnessMismatch
+from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
 
 from oracle import all_pairs_classes
@@ -29,21 +29,21 @@ from oracle import all_pairs_classes
 @pytest.fixture
 def routes(monkeypatch):
     """How the census proved each merge: "certified" holds (first code,
-    points) for each integer certificate that held, "witnessed" (first,
-    other) for each call of witness_equivalence."""
+    points) for each integer certificate found, "witnessed" (first, other)
+    for each call of witness_equivalence."""
     found = {"certified": [], "witnessed": []}
-    certifies, witness = classify._certifies, classify.witness_equivalence
+    certifies, witness = classify._unit_exponent_map, classify.witness_equivalence
 
-    def certified(c1, points, A):
-        if held := certifies(c1, points, A):
+    def certified(c1, points):
+        if (A := certifies(c1, points)) is not None:
             found["certified"].append((c1, points))
-        return held
+        return A
 
     def witnessed(c1, c2):
         found["witnessed"].append((c1, c2))
         return witness(c1, c2)
 
-    monkeypatch.setattr(classify, "_certifies", certified)
+    monkeypatch.setattr(classify, "_unit_exponent_map", certified)
     monkeypatch.setattr(classify, "witness_equivalence", witnessed)
     return found
 
@@ -53,48 +53,45 @@ def routes(monkeypatch):
 )
 def test_keyed_census_matches_the_all_pairs_partition(q, dim, routes):
     entries = _census_entries(make_field(q), dim)
+    # the census's routes, before the reference's witnesses add their own
+    certified, witnessed = list(routes["certified"]), list(routes["witnessed"])
     expected = all_pairs_classes(q, entries)
     _group_classes(q, entries)
     assert [e.class_id for e in entries] == expected
     keys = Counter(e.code._column_key for e in entries)
-    # every merge is proved once, by one route or the other
-    assert len(routes["certified"]) + len(routes["witnessed"]) == len(entries) - len(keys)
-    for c1, points in routes["certified"]:
+    # every merge is proved once, by an integer certificate
+    assert len(certified) == len(entries) - len(keys) and witnessed == []
+    for c1, points in certified:
         assert c1._column_key == _lattice_key(points, q - 1) and c1.polytope.points != points
-    for c1, c2 in routes["witnessed"]:
-        assert c1._column_key == c2._column_key and c1 is not c2
 
 
 @pytest.mark.parametrize(
-    "q, dim, certified, witnessed", [(7, 5, 2, 1), (9, 4, 15, 0), (16, 4, 52, 6)]
+    "q, dim, certified, witnessed", [(7, 5, 3, 0), (9, 4, 15, 0), (16, 4, 58, 0)]
 )
 def test_census_proves_each_repeated_key_once(routes, q, dim, certified, witnessed):
-    # GF(7) width 1: 18 entries with 15 distinct column keys, one merge with
-    # a singular A; GF(9) dim 4: 19 entries, 4 keys; GF(16) dim 4: 65, 7.
-    # The all-pairs loop once ran the witness on every pair
+    # GF(7) width 1: 18 entries with 15 distinct column keys, one merge whose
+    # first A is singular; GF(9) dim 4: 19 entries, 4 keys; GF(16) dim 4: 65,
+    # 7.  The all-pairs loop once ran the witness on every pair
     entries = census(make_field(q), dim)
     keys = len({id(e.code) for e in entries})
     assert (len(routes["certified"]), len(routes["witnessed"])) == (certified, witnessed)
     assert certified + witnessed == len(entries) - keys
 
 
-def test_a_forged_certificate_falls_back_to_the_witness(monkeypatch, routes):
-    # every A replaced by 2I: E2 = E1*A fails, and det A = 8 is no unit
-    # mod 8 either, so each of GF(9)'s 15 merges goes to a witness on G
-    expected = [e.class_id for e in census(make_field(9), 4)]
-    certifies = classify._certifies
-    forged = [[2 * (i == j) for j in range(3)] for i in range(3)]
-    monkeypatch.setattr(classify, "_certifies", lambda c1, points, A: certifies(c1, points, forged))
-    routes["witnessed"].clear()
-    entries = census(make_field(9), 4)
-    assert [e.class_id for e in entries] == expected
-    assert len(routes["witnessed"]) == 15
+def test_a_missing_certificate_raises(monkeypatch):
+    # equal keys with no certificate: the census has no second route, so it
+    # raises and names both polytopes
+    monkeypatch.setattr(classify, "_unit_exponent_map", lambda c1, points: None)
+    with pytest.raises(InternalCheckFailed) as err:
+        census(make_field(9), 4)
+    assert re.fullmatch(
+        r"q=9: T\(\d,\d\) vs T\(\d,\d\): column keys match, yet no exponent map "
+        r"E2 = E1\*A mod q-1 has det A a unit", str(err.value))
 
 
 def test_census_keeps_one_code_per_column_key(monkeypatch):
     # GF(16) dim 4: 65 entries with 7 column keys; a later tuple with a key
-    # gets a code only when its certificate fails (6 of 58), and that code
-    # is dropped once its witness is checked
+    # gets no code of its own, its certificate read off its points
     built = []
     init = ToricCode.__init__
 
@@ -105,7 +102,7 @@ def test_census_keeps_one_code_per_column_key(monkeypatch):
     monkeypatch.setattr(ToricCode, "__init__", recorded)
     entries = census(make_field(16), 4)
     gc.collect()
-    assert len(entries) == 65 and len(built) == 7 + 6
+    assert len(entries) == 65 and len(built) == 7
     assert sum(ref() is not None for ref in built) == 7
     assert len({id(e.code) for e in entries}) == 7
 

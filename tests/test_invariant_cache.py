@@ -157,9 +157,11 @@ def test_witness_checks_its_permutation(monkeypatch):
     field = make_field(5)
     c1 = build_code(field, empty_tetrahedron(1, 1))
     c2 = build_code(field, empty_tetrahedron(1, 2))
-    # the keys match and the map is a bijection, the matrices do not match
+    # the keys match and the map (the identity) is a bijection, the
+    # matrices do not match
     c2._column_key = c1._column_key
-    monkeypatch.setattr(classify, "_lattice_perm", lambda c1, c2: np.arange(c1.n))
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    monkeypatch.setattr(classify, "_unit_exponent_map", lambda c1, points: identity)
     with pytest.raises(InternalCheckFailed, match=r"G1\[:, perm\] != G2 \(columns differ\)"):
         witness_equivalence(c1, c2)
 
@@ -177,10 +179,10 @@ def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["census --q 5 --dim 4", "verify --q 5"])
 def test_a_failed_witness_in_the_census_names_both_codes(monkeypatch, capsys, command):
     # one key for every tuple, as the census and the witness read it: the
-    # first dim-4 tuple with no certificate against T(0,1) and columns that
-    # differ from T(0,1)'s fails its witness while the census builds it
+    # first dim-4 tuple whose lattice differs from T(0,1)'s gets no
+    # certificate, and the census raises before it builds a code
     for module in (codes, classify):
         monkeypatch.setattr(module, "_lattice_key", lambda points, n1: ())
     assert main(command.split()) == 1
     err = capsys.readouterr().err
-    assert "q=5: T(0,1) vs T(1,2): column multisets match, yet G1[:, perm] != G2" in err
+    assert "q=5: T(0,1) vs T(1,2): column keys match, yet no exponent map" in err

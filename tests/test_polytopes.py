@@ -1,6 +1,6 @@
 import random
-from itertools import product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, prod
 
 import pytest
 from oracle import affine_volumes_reference, hull_reference, volume_reference
@@ -13,6 +13,7 @@ from toric3.polytopes import (
     LatticePolytope,
     affine_dependence,
     apply_map,
+    det,
     det4,
     embedded_polygon,
     empty_tetrahedron,
@@ -285,7 +286,7 @@ class TestApplyMap:
         lambda ident: AffineUnimodularMap(ident.matrix, (0, 0)),
     ])
     def test_non_3d_data_rejected(self, make):
-        # these used to fail on an index or in det3, or drop a coordinate
+        # these used to fail on an index or in a determinant, or drop a coordinate
         ident = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
         with pytest.raises(DegenerateConfiguration):
             make(ident)
@@ -365,6 +366,19 @@ class TestOrientation:
         assert det4(*e) == 1
         assert det4(e[1], e[0], e[2], e[3]) == -1
         assert det4(*empty_tetrahedron(3, 7).points) == -7
+
+
+def test_det_of_every_order_is_the_leibniz_sum():
+    # one determinant for the exponent maps of every torus dimension m = 1..3
+    rng = random.Random(0)
+    for m in (1, 2, 3):
+        for _ in range(50):
+            rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+            leibniz = 0
+            for perm in permutations(range(m)):
+                inversions = sum(a > b for a, b in combinations(perm, 2))
+                leibniz += (-1) ** inversions * prod(rows[i][j] for i, j in enumerate(perm))
+            assert det(rows) == leibniz == det([list(c) for c in zip(*rows)])
 
 
 FLAT5 = LatticePolytope(((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))

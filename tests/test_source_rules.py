@@ -57,8 +57,8 @@ DISTANCE_PATH = {
         "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants",
         "_lattice_key", "_orbit_box", "_extended_gcd",
     },
-    "classify.py": {"_exponent_map", "_certifies"},
-    "polytopes.py": {"det3"},
+    "classify.py": {"_unit_exponent_map"},
+    "polytopes.py": {"det"},
 }
 
 
