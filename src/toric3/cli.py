@@ -87,8 +87,7 @@ def cmd_census(args) -> int:
     with out as fh:
         rows = [e.row(args.q) for e in classify.census(field, args.dim)]
         if args.format == "json":
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_rows(rows))
         else:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
@@ -96,6 +95,16 @@ def cmd_census(args) -> int:
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2) + "\\n"`` for a nonempty list of flat
+    rows, from the C encoder, which ``indent`` turns off: one dump with the
+    separator of a row's items, then each boundary between rows re-indented.
+    "}" meets that separator only at such a boundary, as the rows are flat
+    and a string ends in a quote."""
+    text = json.dumps(rows, separators=(",\n    ", ": "))
+    return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
 
 
 def _formula_error(q: int, poly, d: int, f) -> str | None:

@@ -23,12 +23,15 @@ lattice reduction per support, for a whole stack of codes at once.
 The kernel runs on a batch of codes that share q, k and m, and
 ``_fill_invariants`` is its only entry: a census enumerates all the codes
 it keeps together, and a code asked alone runs ``_fill_invariants([code])``.
-The representatives of all (code, support) pairs are numbered in one
-range, and each block of coefficients is built from its index range
-alone, so the small codes of a census are evaluated in a single block,
-and each block is one accumulation into the batch's counts by weight.
-Each code's enumerator is keyed by ascending weight, and two exact checks
-guard it: it sums to q^k, and its first moment is n(q-1)q^(k-1).
+A code builds its G only when G is read; a pass builds the G of its batch
+in one stacked ``build_generator_matrix`` and frees it when it ends, so a
+census holds the G of one batch at a time.  The representatives of all
+(code, support) pairs are numbered in one range, and each block of
+coefficients is built from its index range alone, so the small codes of a
+census are evaluated in a single block, and each block is one accumulation
+into the batch's counts by weight.  Each code's enumerator is keyed by
+ascending weight, and two exact checks guard it: it sums to q^k, and its
+first moment is n(q-1)q^(k-1).
 
 A code's column key, the Hermite normal form of its exponent lattice mod
 q-1 (``_lattice_key``), is read off its points, so codes can be grouped
@@ -42,9 +45,14 @@ each G once per digit into one table, and builds every block from row
 copies of it; ``_words``, the evaluator of ``encode`` and ``count_zeros``,
 gathers each term from the mul table instead.  Both sum through
 ``_add_words``: XOR in characteristic 2, a byte add reduced mod p in a
-prime field and an add-table gather otherwise.  A word's zeros are
-counted over the whole block for short words and row by row from
-n = _ROW_COUNT_WIDTH on.
+prime field and an add-table gather otherwise, which only ``_words``
+takes: the kernel's table holds GF(9), GF(25), GF(27) and GF(49) in
+another layout (``_layout``), one base-p digit per nibble, uint16 for
+the three digits of GF(27), so that ``_add_nibbles`` adds them as a
+prime field is added, one nibble at a time, with no gather.  Zero is the
+word 0 in every layout, so the zero counts are those of the field's own
+bytes.  A word's zeros are counted over the whole block for short words
+and row by row from n = _ROW_COUNT_WIDTH on.
 """
 
 from __future__ import annotations
@@ -60,20 +68,20 @@ from .errors import (
 from .galois import FieldSpec
 from .polytopes import LatticePolytope
 
-# bounds a codeword block to _WORD_BYTES // (8 n) rows: its uint8 words take
-# an eighth of the budget, the term and gather index of one addition a half.
+# bounds a codeword block to _WORD_BYTES // (8 n w) rows, w the bytes of a
+# word entry (2 at q = 27, else 1): its words take an eighth of the budget.
 # Blocks this small fit the cache: a pass at q=64 takes 0.03-0.05 s for
 # P32(1,1) in 2-row blocks against 0.05-0.08 s in 16-row blocks (2 cores).
-# A pass adds its table of scaled rows of G, a fixed (1 + sum of top_r) * n
+# A pass adds its table of scaled rows of G, a fixed (1 + sum of top_r) * n w
 # bytes for one code, top_r the largest box side at point r: at most 32.3 MB
 # on q <= 64, for the segment E:1 at q=64 (tops 1, 1, 63, 63: 129 rows of
 # 250 047 bytes)
 _WORD_BYTES = 1 << 22
 # bounds a batch of codes enumerated in one pass, unless one code passes it
-# alone: its table (one zero row and every code's sum of top_r rows of n
-# bytes) and its int64 weight counts (n + 1 per code).  A census batch holds
-# all the kept codes up to q = 25 dim 4, 14 to 16 of them at q = 25 dim 5 and
-# 1 or 2 at q = 64 dim 4
+# alone: its G (k n bytes per code), its table (one zero row and every code's
+# sum of top_r rows of n w bytes) and its int64 weight counts (n + 1 per
+# code).  A census batch holds all the kept codes up to q = 25 dim 4, 13 or 14
+# of them at q = 25 dim 5, 5 or 6 at q = 27 dim 5 and 1 at q = 64
 _BATCH_BYTES = 1 << 23
 # from this word length on, a codeword's zeros are counted by one
 # count_nonzero call per row, which beats one over the whole block: 0.35 vs
@@ -116,6 +124,8 @@ class DistanceResult:
 def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
     """k x (q-1)^m uint8 matrix of monomial evaluations on (F_q*)^m, m
     the common length of the exponent vectors; rows follow their order.
+    Given a stack, a list of b such lists of one k and m, it returns the
+    (b, k, (q-1)^m) stack of their matrices in one build.
 
     The log of a monomial at a torus point is a sum of per-axis logs
     e_j * i_j mod q-1.  Those of the first m-1 axes are summed in uint16,
@@ -124,25 +134,38 @@ def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
     of q-1 columns of G is one row of that table, gathered by the sum.
     """
     n1 = field.q - 1
+    single = not (len(exponent_vectors) and len(exponent_vectors[0])
+                  and hasattr(exponent_vectors[0][0], "__len__"))
+    sets = [_reduced_points(field, e) for e in ([exponent_vectors] if single else exponent_vectors)]
+    if len({(len(e), len(e[0])) for e in sets}) != 1:
+        raise ShapeMismatch("a stack of point sets needs one k and m")
+    units = np.arange(n1, dtype=np.uint16)
+    # steps[b, r, j, i] = e_brj * i mod q-1, the log of x_j^e_brj at alpha^i;
+    # the product is below 63^2, so it fits uint16
+    steps = np.array(sets, dtype=np.uint16)[..., None] * units % n1
+    b, k, m, _ = steps.shape
+    # head[b, r, c]: log of the product of the first m-1 factors at the c-th
+    # point of their torus, lexicographic
+    head = _log_sums(steps[:, :, : m - 1], n1).reshape(b * k, -1)
+    shifted = field.exp_u8[(units[:, None] + steps[:, :, m - 1, None, :]) % n1]
+    G = shifted.reshape(b * k, n1, n1)[np.arange(b * k)[:, None], head].reshape(b, k, -1)
+    return G[0] if single else G
+
+
+def _reduced_points(field: FieldSpec, exponent_vectors) -> list[tuple[int, ...]]:
+    """The exponent vectors mod q-1, after checking that they are nonempty,
+    of one length and distinct mod q-1."""
+    n1 = field.q - 1
     lengths = {len(e) for e in exponent_vectors}
     if len(lengths) != 1 or 0 in lengths:
         raise ShapeMismatch("exponent vectors must be nonempty and of one length")
-    reduced = [tuple(int(a) % n1 for a in e) for e in exponent_vectors]
+    reduced = [tuple([int(a) % n1 for a in e]) for e in exponent_vectors]
     if len(set(reduced)) != len(reduced):
         raise ExponentCollision(
             "two lattice points are congruent mod q-1 componentwise; "
             "the polytope does not fit GF(%d)" % field.q
         )
-    k, m = len(reduced), len(reduced[0])
-    units = np.arange(n1, dtype=np.uint16)
-    # steps[r, j, i] = e_rj * i mod q-1, the log of x_j^e_rj at alpha^i;
-    # the product is below 63^2, so it fits uint16
-    steps = np.array(reduced, dtype=np.uint16)[:, :, None] * units % n1
-    # head[r, c]: log of the product of the first m-1 factors at the c-th
-    # point of their torus, lexicographic
-    head = _log_sums(steps[:, : m - 1], n1)
-    shifted = field.exp_u8[(units[:, None] + steps[:, m - 1, None, :]) % n1]
-    return shifted[np.arange(k)[:, None], head].reshape(k, -1)
+    return reduced
 
 
 def _log_sums(steps: np.ndarray, n1: int) -> np.ndarray:
@@ -169,11 +192,16 @@ class ToricCode:
         self.field = field
         self.polytope = polytope
         self.k = polytope.k
-        self.G = build_generator_matrix(field, polytope.points)
-        self.G.setflags(write=False)
-        self.m = len(polytope.points[0])
-        self.n = self.G.shape[1]
+        self.m = len(_reduced_points(field, polytope.points)[0])
+        self.n = (field.q - 1) ** self.m
         self._enumerated = None  # (d, enumerator), set by _fill_invariants
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The read-only k x n generator matrix, built on first read."""
+        G = build_generator_matrix(self.field, self.polytope.points)
+        G.setflags(write=False)
+        return G
 
     def columns(self):
         """Torus points as m-tuples, in column order."""
@@ -279,37 +307,48 @@ def _fill_invariants(codes) -> None:
     """Set (minimum distance, weight enumerator) on each of a nonempty
     list of codes that share one field, k and m.
 
-    One stacked ``_box_sides`` gives every code's boxes.  The codes are cut
-    into batches, in order, where a batch's table of scaled rows and weight
-    counts would pass _BATCH_BYTES (a code that passes it alone is a batch
-    alone), and each batch is one kernel pass, ``_zero_counts``, that adds
-    every block's codewords into one int64 (codes, n + 1) array of counts by
-    weight: each projective class contributes q-1 codewords of equal
-    weight.  The zero codeword is added to weight 0, so that a nonzero
-    codeword of weight 0 still fails the sum check.  Two exact checks per
-    code: the enumerator sums to q^k, and its first moment is
-    n(q-1)q^(k-1), since every column of G is nonzero and so each
-    coordinate is nonzero on (q-1)q^(k-1) codewords.  The enumerator's keys
-    are its weights in ascending order, so the distance is the second.
+    The codes are cut into batches, in order, where a batch's generator
+    matrices, table of scaled rows and weight counts would pass
+    _BATCH_BYTES (a code that passes it alone is a batch alone): one
+    stacked ``_box_sides`` over the most codes a batch can hold gives the
+    sizes, and the batch is cut from them.  Each batch is one stacked
+    ``build_generator_matrix`` and one kernel pass, ``_zero_counts``, that
+    adds every block's codewords into one int64 (codes, n + 1) array of
+    counts by weight: each projective class contributes q-1 codewords of
+    equal weight.  The batch's G and table are freed when its pass ends,
+    so a code keeps only a G that was read.  The zero codeword is
+    added to weight 0, so that a nonzero codeword of weight 0 still fails
+    the sum check.  Two exact checks per code: the enumerator sums to q^k,
+    and its first moment is n(q-1)q^(k-1), since every column of G is
+    nonzero and so each coordinate is nonzero on (q-1)q^(k-1) codewords.
+    The enumerator's keys are its weights in ascending order, so the
+    distance is the second.
     """
-    q, k, m, n = codes[0].field.q, codes[0].k, codes[0].m, codes[0].n
+    field, k, m, n = codes[0].field, codes[0].k, codes[0].m, codes[0].n
+    q = field.q
     if any((c.field.q, c.k, c.m) != (q, k, m) for c in codes):
         raise ShapeMismatch("a kernel batch needs codes of one field, k and m")
-    sides = _box_sides([c.polytope.points for c in codes], q - 1)
-    # a code's table rows and weight counts, in bytes
-    sizes = sides.max(axis=1).sum(axis=1) * n + 8 * (n + 1)
-    cuts, used = [0], n  # the shared zero row
-    for i, size in enumerate(sizes.tolist()):
-        if i > cuts[-1] and used + size > _BATCH_BYTES:
-            cuts.append(i)
-            used = n
-        used += size
-    for lo, hi in zip(cuts, [*cuts[1:], len(codes)]):
-        per_weight = np.zeros((hi - lo, n + 1), dtype=np.int64)
-        for c, zeros, classes in _zero_counts(codes[lo:hi], sides[lo:hi]):
+    row = n if (layout := _layout(field)) is None else n * layout.itemsize  # a table row's bytes
+    # a code's G, table rows and weight counts take at least this many bytes,
+    # with every top 1, so a batch holds at most `most` codes
+    most = max(1, (_BATCH_BYTES - row) // (k * (n + row) + 8 * (n + 1)))
+    lo = 0
+    while lo < len(codes):
+        points = [c.polytope.points for c in codes[lo : lo + most]]
+        sides = _box_sides(points, q - 1)
+        size = 1
+        if len(points) > 1:
+            # the shared zero row, then each code's G, table rows and weight counts
+            used = row + np.cumsum(k * n + sides.max(axis=1).sum(axis=1) * row + 8 * (n + 1))
+            size = max(1, int(np.searchsorted(used, _BATCH_BYTES, side="right")))
+        batch, lo = codes[lo : lo + size], lo + size
+        per_weight = np.zeros((size, n + 1), dtype=np.int64)
+        G = build_generator_matrix(field, points[:size])
+        for c, zeros, classes in _zero_counts(field, G, sides[:size]):
             np.add.at(per_weight, (c, n - zeros), classes * (q - 1))
+        del G  # its pass has ended and freed the table
         per_weight[:, 0] += 1  # the zero codeword
-        for code, counted in zip(codes[lo:hi], per_weight):
+        for code, counted in zip(batch, per_weight):
             weights = np.flatnonzero(counted != 0)  # a bool scan beats an int64 one
             counts = dict(zip(weights.tolist(), counted[weights].tolist()))
             if sum(counts.values()) != q**k:
@@ -323,12 +362,13 @@ def _fill_invariants(codes) -> None:
                     f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
                 )
             code._enumerated = (int(weights[1]), counts)
-        del per_weight, counted  # before the next batch allocates its counts
+        del per_weight, counted  # before the next batch builds its G
 
 
-def _zero_counts(codes, sides):
-    """Yield (c, zeros, classes) per block for a batch of codes that share
-    one field, k and m: three arrays with one entry per torus orbit in the
+def _zero_counts(field: FieldSpec, G: np.ndarray, sides: np.ndarray):
+    """Yield (c, zeros, classes) per block for one pass over the stacked
+    (codes, k, n) generator matrices G of a batch of codes that share one
+    field, k and m: three arrays with one entry per torus orbit in the
     block, the index in the batch of the orbit's code, the zero count of
     the orbit's representative and its number of projective classes.
     ``sides`` is the stacked ``_box_sides`` of the codes' points.
@@ -342,24 +382,31 @@ def _zero_counts(codes, sides):
 
     The term of point r of code c is one of few rows, since its digit
     stays below top_cr, the largest side at r over the code's supports.
-    One table, built once per pass, holds one zero row, the term of a
-    point off the support, and then alpha^d * G_c[r] for d < top_cr, code
-    by code and point by point; a block is k row copies from it, summed.
+    One table, built once per pass and freed with it, holds one zero row,
+    the term of a point off the support, and then alpha^d * G_c[r] for
+    d < top_cr, code by code and point by point: one copy for all rows of
+    top 1 and one take from the scales lookup for each other row.  A block
+    is k row copies from it, summed.  In GF(9), GF(25), GF(27) and GF(49)
+    the lookup writes the table in the field's ``_layout``, which
+    ``_add_nibbles`` adds.
     """
-    f, k, n = codes[0].field, codes[0].k, codes[0].n
-    n1 = f.q - 1
+    _, k, n = G.shape
+    n1 = field.q - 1
     on = _mask_tables(k)[0][1:]  # the points of each support
     tops = sides.max(axis=1).ravel()  # per (code, point), G's rows in order
     first = np.cumsum(tops) - tops + 1  # the table row of G_c[r] itself
-    table = np.zeros((1 + int(tops.sum()), n), dtype=np.uint8)
-    scales = f.mul_u8[f.exp_u8[: int(tops.max())]]  # row d: times alpha^d
-    for g, top, row in zip((g for c in codes for g in c.G), tops.tolist(), first.tolist()):
-        if top == 1:  # alpha^0 * G[r] is G[r] itself
-            table[row] = g
-        else:
-            # G's entries index the q columns, so "clip" never acts; it
-            # lets take write into the table with no buffered copy
-            np.take(scales[:top], g, 1, table[row : row + top], "clip")
+    scales = field.mul_u8[field.exp_u8[: int(tops.max())]]  # row d: times alpha^d
+    add, flat, ones = _add_words, G.reshape(-1, n), tops == 1
+    if (layout := _layout(field)) is not None:
+        scales, add = layout[scales], _add_nibbles
+    table = np.zeros((1 + int(tops.sum()), n), dtype=scales.dtype)
+    # alpha^0 * G[r] is G[r] itself, laid out by scales[0] if need be
+    table[first[ones]] = flat[ones] if layout is None else scales[0][flat[ones]]
+    for r in np.flatnonzero(~ones).tolist():
+        top, row = int(tops[r]), int(first[r])
+        # G's entries index the q columns, so "clip" never acts; it lets
+        # take write into the table with no buffered copy
+        np.take(scales[:top], flat[r], 1, table[row : row + top], "clip")
     # per (code, support) pair, code-major: a term's table row at digit 0,
     # row 0 off the support, where the digit is 0 too
     pair_first = (first.reshape(-1, 1, k) * on).reshape(-1, k)
@@ -370,7 +417,7 @@ def _zero_counts(codes, sides):
     strides = orbits[:, None] // np.cumprod(pair_sides, axis=1)
     ends = np.cumsum(orbits)
     starts, total = ends - orbits, int(ends[-1])
-    rows = max(1, _WORD_BYTES // (8 * n))
+    rows = max(1, _WORD_BYTES // (8 * n * table.itemsize))
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         index = np.arange(lo, hi)
@@ -379,12 +426,27 @@ def _zero_counts(codes, sides):
         rank = digits + pair_first[pair]  # each term's table row
         words = table[rank[:, 0]]
         for r in range(1, k):
-            words = _add_words(f, words, table[rank[:, r]])
+            words = add(field, words, table[rank[:, r]])
         if n < _ROW_COUNT_WIDTH:
             zeros = np.count_nonzero(words == 0, axis=1)
         else:
             zeros = n - np.array([np.count_nonzero(w) for w in words])
         yield pair // len(on), zeros, classes[pair]
+
+
+@lru_cache(maxsize=None)
+def _layout(field: FieldSpec) -> np.ndarray | None:
+    """The kernel's word for each element of GF(p^m), p odd and m > 1: the
+    sum of d_i * 16^i over its base-p digits d_i, one digit per nibble, so
+    zero is still 0; uint8 for m = 2 and uint16 for q = 27.  None for the
+    other fields, whose words are their elements."""
+    if field.p == 2 or field.m == 1:
+        return None
+    elements = np.arange(field.q)
+    words = sum(elements // field.p**i % field.p << 4 * i for i in range(field.m))
+    words = words.astype(np.uint8 if field.m == 2 else np.uint16)
+    words.setflags(write=False)
+    return words
 
 
 def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -401,6 +463,22 @@ def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndar
     index = np.multiply(words, field.q, dtype=np.uint16)
     index += term
     return field.add_u8.reshape(-1)[index]
+
+
+def _add_nibbles(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """words + term in GF(p^m), p odd, entrywise on two arrays of one shape
+    in the field's ``_layout``.  Each nibble's sum s <= 2p - 2 < 16 carries
+    into no other, and each is reduced mod p by the prime-field minimum:
+    s - p, shifted to its nibble, wraps past s when s < p."""
+    words += term
+    one = words.dtype.type
+    low = words & one(15)
+    np.minimum(low, low - one(field.p), out=low)
+    for shift in range(4, 4 * field.m, 4):
+        digit = words & one(15 << shift)
+        np.minimum(digit, digit - one(field.p << shift), out=digit)
+        low |= digit
+    return low
 
 
 def _box_sides(points, n1: int) -> np.ndarray:

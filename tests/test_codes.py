@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from toric3 import codes
+from toric3.classify import census
 from toric3.codes import DistanceResult, build_code, build_generator_matrix
 from toric3.errors import (
     ExponentCollision,
@@ -79,6 +81,40 @@ def test_generator_matrix_matches_the_log_grid_product(q, m):
     assert G.dtype == np.uint8 and not G.flags.writeable
     assert G.shape == (len(vectors), (q - 1) ** m)
     assert np.array_equal(G, generator_matrix_reference(field, vectors))
+
+
+def test_a_stacked_build_equals_the_matrices_built_alone():
+    # a mixed stack of one k and m: a tetrahedron, a width-1 configuration
+    # bordered to k = 4 points and random vectors, over a field of each kind
+    for q in (7, 8, 9, 16):
+        field = make_field(q)
+        sets = [empty_tetrahedron(1, 3).points, width1_representative((2, 1), 1, 2).points[:4],
+                tuple(_exponent_vectors(q, 3, seed=q)[:4])]
+        G = build_generator_matrix(field, sets)
+        assert G.dtype == np.uint8 and G.shape == (3, 4, (q - 1) ** 3)
+        for g, points in zip(G, sets):
+            assert np.array_equal(g, build_generator_matrix(field, points))
+    field = make_field(5)
+    with pytest.raises(ExponentCollision):
+        build_generator_matrix(field, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (4, 0, 0))])
+    with pytest.raises(ShapeMismatch):
+        build_generator_matrix(field, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0),)])
+
+
+def test_g_is_built_on_first_read_only(monkeypatch):
+    # the census enumerates its kept codes from G stacks it builds and frees
+    entries = census(make_field(16), 4)
+    assert entries and not any("G" in vars(e.code) for e in entries)
+    code = entries[0].code
+    assert np.array_equal(code.G, build_generator_matrix(code.field, code.polytope.points))
+    assert "G" in vars(code) and not code.G.flags.writeable
+
+    def unread(*args):
+        raise AssertionError("G was built")
+
+    monkeypatch.setattr(codes, "build_generator_matrix", unread)
+    with pytest.raises(ExponentCollision):
+        build_code(make_field(3), LatticePolytope(((1, 0, 0), (3, 0, 0))))
 
 
 def test_generator_matrix_peak_memory():

@@ -1,8 +1,6 @@
 """One kernel pass per batch of codes, each code enumerated once, and the
 checks on what the pass and the witness return."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -21,17 +19,21 @@ from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Kernel passes, each as the list of codes of its batch.  The codes
-    stay alive here, so each is told apart by identity."""
-    batches = []
+    """Kernel passes, each as a copy of its batch's stack of generator
+    matrices, which the pass builds and frees."""
+    stacks = []
     kernel = codes._zero_counts
 
-    def counted(batch, sides):
-        batches.append(list(batch))
-        return kernel(batch, sides)
+    def counted(field, G, sides):
+        stacks.append(G.copy())
+        return kernel(field, G, sides)
 
     monkeypatch.setattr(codes, "_zero_counts", counted)
-    return batches
+    return stacks
+
+
+def _stack(*codes):
+    return np.stack([c.G for c in codes])
 
 
 def test_census_fills_each_column_key_once_in_one_pass(passes):
@@ -40,8 +42,9 @@ def test_census_fills_each_column_key_once_in_one_pass(passes):
     # and the 15 kept codes are enumerated in one batch
     entries = census(make_field(7), 5)
     assert len(entries) == 18
-    assert passes == [list(dict.fromkeys(e.code for e in entries))]
-    assert len(passes[0]) == 15
+    kept = list(dict.fromkeys(e.code for e in entries))
+    assert len(kept) == 15 and len(passes) == 1
+    assert np.array_equal(passes[0], _stack(*kept))
 
 
 def test_verify_fills_each_code_once(passes, capsys):
@@ -54,10 +57,9 @@ def test_verify_fills_each_code_once(passes, capsys):
     assert keys == [2, 8]
     assert main(["verify", "--q", "5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    filled = Counter(c for batch in passes for c in batch)
-    assert set(filled.values()) == {1}
-    assert sum(filled.values()) == sum(keys) + 4 + 4 == 18
-    assert [len(batch) for batch in passes] == keys + [1] * 8
+    # 18 distinct matrices: no code is filled twice
+    assert len({G.tobytes() for stack in passes for G in stack}) == sum(keys) + 4 + 4 == 18
+    assert [len(stack) for stack in passes] == keys + [1] * 8
 
 
 def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypatch, capsys):
@@ -79,14 +81,14 @@ def test_witness_fallback_reads_the_cached_invariants(passes):
     field = make_field(7)
     c1, c2 = (build_code(field, empty_tetrahedron(s, 3)) for s in (1, 2))
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
-    assert passes == [[c1, c2]]
+    assert len(passes) == 1 and np.array_equal(passes[0], _stack(c1, c2))
     passes.clear()
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
     assert not passes
     # with one code enumerated, the pass holds only the other
     c3 = build_code(field, empty_tetrahedron(1, 3))
     assert witness_equivalence(c3, c2).status == INCONCLUSIVE
-    assert passes == [[c3]]
+    assert len(passes) == 1 and np.array_equal(passes[0], _stack(c3))
 
 
 def test_weight_enumerator_returns_a_new_dict():
@@ -104,12 +106,12 @@ def test_enumerator_keys_ascend():
     assert list(code.weight_enumerator()) == [0, 144, 180, 184, 185, 186, 192, 216]
 
 
-@pytest.mark.parametrize("q", [7, 8, 9])
+@pytest.mark.parametrize("q", [7, 8, 9, 27])
 def test_kernel_yields_integers_only(q):
-    # one arithmetic branch each: add mod p, XOR, add-table gather
+    # one arithmetic branch each: add mod p, XOR, nibbles in bytes, in uint16
     code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
     sides = _box_sides([code.polytope.points], q - 1)
-    for arrays in codes._zero_counts([code], sides):
+    for arrays in codes._zero_counts(code.field, code.G[None], sides):
         assert len(arrays) == 3 and not arrays[0].any()
         assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
@@ -118,7 +120,7 @@ def test_kernel_yields_integers_only(q):
 def _one_block(monkeypatch, zeros, classes):
     """The kernel replaced by one block of one orbit of the first code."""
     block = (np.array([0]), np.array([zeros]), np.array([classes]))
-    monkeypatch.setattr(codes, "_zero_counts", lambda batch, sides: iter([block]))
+    monkeypatch.setattr(codes, "_zero_counts", lambda field, G, sides: iter([block]))
 
 
 def test_kernel_enumerator_sum_check(monkeypatch):
@@ -135,8 +137,8 @@ def test_a_nonzero_codeword_of_weight_0_fails_the_sum_check(monkeypatch):
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     kernel = codes._zero_counts
 
-    def with_a_zero_word(batch, sides):
-        yield from kernel(batch, sides)
+    def with_a_zero_word(field, G, sides):
+        yield from kernel(field, G, sides)
         yield np.array([0]), np.array([code.n]), np.array([1])
 
     monkeypatch.setattr(codes, "_zero_counts", with_a_zero_word)

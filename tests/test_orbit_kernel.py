@@ -38,7 +38,8 @@ def kernel(code):
 def alone(code):
     """The kernel's (zeros, classes) blocks for a batch of code alone."""
     sides = _box_sides([code.polytope.points], code.field.q - 1)
-    return [(zeros, classes) for _, zeros, classes in codes._zero_counts([code], sides)]
+    blocks = codes._zero_counts(code.field, code.G[None], sides)
+    return [(zeros, classes) for _, zeros, classes in blocks]
 
 
 @pytest.mark.parametrize("q,dim", [(5, 4), (7, 4), (8, 4), (9, 4), (5, 5), (7, 5)])
@@ -205,16 +206,16 @@ def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, d
     alone = [build_code(field, p)._invariants for p in polys]
     batched = [build_code(field, p) for p in polys]
     n = batched[0].n
-    # a code's table rows and weight counts, and the shared zero row
+    # a code's G, table rows and weight counts, and the shared zero row
     tops = _box_sides([p.points for p in polys], q - 1).max(axis=1)
-    sizes = tops.sum(axis=1) * n + 8 * (n + 1)
+    sizes = (batched[0].k + tops.sum(axis=1)) * n + 8 * (n + 1)
     monkeypatch.setattr(codes, "_WORD_BYTES", 8 * n * 7)
     monkeypatch.setattr(codes, "_BATCH_BYTES", int(n + sizes[:2].sum()))
     batches, spans, kernel = [], [], codes._zero_counts
 
-    def recorded(batch, sides):
-        batches.append(len(batch))
-        for c, zeros, classes in kernel(batch, sides):
+    def recorded(field, G, sides):
+        batches.append(len(G))
+        for c, zeros, classes in kernel(field, G, sides):
             spans.append(len(set(c.tolist())))
             yield c, zeros, classes
 
@@ -266,6 +267,28 @@ def test_zero_counts_per_row_equal_the_whole_block_count(monkeypatch, q, spec):
 
     whole, per_row = stream(code.n + 1), stream(code.n)
     assert all(np.array_equal(a, b) for a, b in zip(whole, per_row))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49])
+def test_the_nibble_add_decodes_to_the_add_table(q):
+    # every pair (a, b) of GF(p^m), p odd, m > 1, in the kernel's layout
+    field = make_field(q)
+    layout = codes._layout(field)
+    decode = np.zeros(1 << 12, dtype=np.uint8)
+    decode[layout] = np.arange(q)
+    assert layout[0] == 0 and len(set(layout.tolist())) == q
+    a, b = np.repeat(layout, q), np.tile(layout, q)
+    assert np.array_equal(decode[codes._add_nibbles(field, a, b)], field.add_u8.ravel())
+    assert all(codes._layout(make_field(q)) is None for q in (7, 8, 16, 61, 64))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49])
+def test_the_kernel_reads_no_add_table_in_a_nibble_field(monkeypatch, q):
+    # the pass passes its sum and moment checks and gives the closed form
+    field = make_field(q)
+    code = build_code(field, parse_polytope_spec("P21(1,3)"))
+    monkeypatch.setattr(field, "add_u8", None)
+    assert code.min_distance_brute().value == dim5_distance((2, 1), q, 1, 3).value
 
 
 def test_product_theorem_at_q32():
