@@ -23,9 +23,9 @@ lattice reduction per support, for a whole stack of codes at once.
 The kernel runs on a batch of codes that share q, k and m, and
 ``_fill_invariants`` is its only entry: a census enumerates all the codes
 it keeps together, and a code asked alone runs ``_fill_invariants([code])``.
-A code builds its G only when G is read; a pass builds the G of its batch
-in one stacked ``build_generator_matrix`` and frees it when it ends, so a
-census holds the G of one batch at a time.  The representatives of all
+A code builds its G only when G is read, and no pass reads it: a pass
+writes its table from its codes' points and frees it when it ends, so a
+census holds the table of one batch at a time.  The representatives of all
 (code, support) pairs are numbered in one range, and each block of
 coefficients is built from its index range alone, so the small codes of a
 census are evaluated in a single block, and each block is one accumulation
@@ -40,12 +40,12 @@ by their column multisets before any G is built.
 G and the codewords are uint8, one byte per field element.  A
 representative's codeword is a sum of k terms alpha^d * G[r], or zero
 off its support, and the digit d at point r stays below the largest box
-side there, which is 1 at most points.  So a pass scales each row of
-each G once per digit into one table, and builds every block from row
-copies of it; ``_words``, the evaluator of ``encode`` and ``count_zeros``,
-gathers each term from the mul table instead.  Both sum through
-``_add_words``: XOR in characteristic 2, a byte add reduced mod p in a
-prime field and an add-table gather otherwise, which only ``_words``
+side there, which is 1 at most points.  So a pass writes each term it
+needs once into one table, in one ``_monomial_rows``, and builds every
+block from row copies of it; ``_words``, the evaluator of ``encode`` and
+``count_zeros``, gathers each term from the mul table instead.  Both sum
+through ``_add_words``: XOR in characteristic 2, a byte add reduced mod p
+in a prime field and an add-table gather otherwise, which only ``_words``
 takes: the kernel's table holds GF(9), GF(25), GF(27) and GF(49) in
 another layout (``_layout``), one base-p digit per nibble, uint16 for
 the three digits of GF(27), so that ``_add_nibbles`` adds them as a
@@ -72,16 +72,16 @@ from .polytopes import LatticePolytope
 # word entry (2 at q = 27, else 1): its words take an eighth of the budget.
 # Blocks this small fit the cache: a pass at q=64 takes 0.03-0.05 s for
 # P32(1,1) in 2-row blocks against 0.05-0.08 s in 16-row blocks (2 cores).
-# A pass adds its table of scaled rows of G, a fixed (1 + sum of top_r) * n w
+# A pass adds its table of monomial rows, a fixed (1 + sum of top_r) * n w
 # bytes for one code, top_r the largest box side at point r: at most 32.3 MB
 # on q <= 64, for the segment E:1 at q=64 (tops 1, 1, 63, 63: 129 rows of
 # 250 047 bytes)
 _WORD_BYTES = 1 << 22
 # bounds a batch of codes enumerated in one pass, unless one code passes it
-# alone: its G (k n bytes per code), its table (one zero row and every code's
-# sum of top_r rows of n w bytes) and its int64 weight counts (n + 1 per
-# code).  A census batch holds all the kept codes up to q = 25 dim 4, 13 or 14
-# of them at q = 25 dim 5, 5 or 6 at q = 27 dim 5 and 1 at q = 64
+# alone: its table (one zero row and every code's sum of top_r rows of n w
+# bytes) and its int64 weight counts (n + 1 per code).  A census batch holds
+# all the kept codes up to q = 29 dim 4 and q = 16 dim 5, 14 or 16 of them at
+# q = 25 dim 5, 2 to 6 at q = 27 dim 5 and 1 from q = 47 dim 5 on
 _BATCH_BYTES = 1 << 23
 # from this word length on, a codeword's zeros are counted by one
 # count_nonzero call per row, which beats one over the whole block: 0.35 vs
@@ -123,33 +123,40 @@ class DistanceResult:
 
 def build_generator_matrix(field: FieldSpec, exponent_vectors) -> np.ndarray:
     """k x (q-1)^m uint8 matrix of monomial evaluations on (F_q*)^m, m
-    the common length of the exponent vectors; rows follow their order.
-    Given a stack, a list of b such lists of one k and m, it returns the
-    (b, k, (q-1)^m) stack of their matrices in one build.
+    the common length of the exponent vectors; rows follow their order:
+    ``_monomial_rows`` at digit 0, in the field's own bytes."""
+    points = _reduced_points(field, exponent_vectors)
+    G = np.empty((len(points), (field.q - 1) ** len(points[0])), dtype=np.uint8)
+    return _monomial_rows(points, 0, field.exp_u8, G)
+
+
+def _monomial_rows(points, digits, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill and return ``out``: row i is alpha^d_i times the monomial of
+    points[i], reduced mod q-1, at every torus point in column order, with
+    alpha^j written as words[j]; d_i < q-1 is digits[i], or ``digits``.
 
     The log of a monomial at a torus point is a sum of per-axis logs
     e_j * i_j mod q-1.  Those of the first m-1 axes are summed in uint16,
-    one axis at a time; row c of a small (q-1, q-1) table per monomial
-    holds the field values of the last axis shifted by c, so each block
-    of q-1 columns of G is one row of that table, gathered by the sum.
+    one axis at a time; row c of a small (q-1, q-1) table per row holds
+    the words of the last axis shifted by c + d_i, so each block of q-1
+    columns of out is one row of that table, gathered by the sum.
     """
-    n1 = field.q - 1
-    single = not (len(exponent_vectors) and len(exponent_vectors[0])
-                  and hasattr(exponent_vectors[0][0], "__len__"))
-    sets = [_reduced_points(field, e) for e in ([exponent_vectors] if single else exponent_vectors)]
-    if len({(len(e), len(e[0])) for e in sets}) != 1:
-        raise ShapeMismatch("a stack of point sets needs one k and m")
+    n1 = len(words)
     units = np.arange(n1, dtype=np.uint16)
-    # steps[b, r, j, i] = e_brj * i mod q-1, the log of x_j^e_brj at alpha^i;
+    # steps[i, j, a] = e_ij * a mod q-1, the log of x_j^e_ij at alpha^a;
     # the product is below 63^2, so it fits uint16
-    steps = np.array(sets, dtype=np.uint16)[..., None] * units % n1
-    b, k, m, _ = steps.shape
-    # head[b, r, c]: log of the product of the first m-1 factors at the c-th
+    steps = np.array(points, dtype=np.uint16)[..., None] * units % n1
+    rows, m, _ = steps.shape
+    # head[i, c]: log of the product of the first m-1 factors at the c-th
     # point of their torus, lexicographic
-    head = _log_sums(steps[:, :, : m - 1], n1).reshape(b * k, -1)
-    shifted = field.exp_u8[(units[:, None] + steps[:, :, m - 1, None, :]) % n1]
-    G = shifted.reshape(b * k, n1, n1)[np.arange(b * k)[:, None], head].reshape(b, k, -1)
-    return G[0] if single else G
+    head = _log_sums(steps[:, : m - 1], n1)
+    last = steps[:, m - 1] + np.asarray(digits, dtype=np.uint16).reshape(-1, 1)
+    shifted = words[(units[:, None] + last[:, None, :]) % n1].reshape(-1, n1)
+    # the index is in range, so "clip" never acts; it lets take write into
+    # out with no buffered copy.  The int64 index is 8 / (q-1) bytes a word
+    index = head + np.arange(0, rows * n1, n1)[:, None]
+    np.take(shifted, index, 0, out.reshape(rows, -1, n1), "clip")
+    return out
 
 
 def _reduced_points(field: FieldSpec, exponent_vectors) -> list[tuple[int, ...]]:
@@ -192,7 +199,8 @@ class ToricCode:
         self.field = field
         self.polytope = polytope
         self.k = polytope.k
-        self.m = len(_reduced_points(field, polytope.points)[0])
+        self._points = _reduced_points(field, polytope.points)  # what a pass reads
+        self.m = len(self._points[0])
         self.n = (field.q - 1) ** self.m
         self._enumerated = None  # (d, enumerator), set by _fill_invariants
 
@@ -307,48 +315,43 @@ def _fill_invariants(codes) -> None:
     """Set (minimum distance, weight enumerator) on each of a nonempty
     list of codes that share one field, k and m.
 
-    The codes are cut into batches, in order, where a batch's generator
-    matrices, table of scaled rows and weight counts would pass
-    _BATCH_BYTES (a code that passes it alone is a batch alone): one
-    stacked ``_box_sides`` over the most codes a batch can hold gives the
-    sizes, and the batch is cut from them.  Each batch is one stacked
-    ``build_generator_matrix`` and one kernel pass, ``_zero_counts``, that
-    adds every block's codewords into one int64 (codes, n + 1) array of
-    counts by weight: each projective class contributes q-1 codewords of
-    equal weight.  The batch's G and table are freed when its pass ends,
-    so a code keeps only a G that was read.  The zero codeword is
-    added to weight 0, so that a nonzero codeword of weight 0 still fails
-    the sum check.  Two exact checks per code: the enumerator sums to q^k,
-    and its first moment is n(q-1)q^(k-1), since every column of G is
-    nonzero and so each coordinate is nonzero on (q-1)q^(k-1) codewords.
-    The enumerator's keys are its weights in ascending order, so the
-    distance is the second.
+    The codes are cut into batches, in order, where a batch's table of
+    monomial rows and weight counts would pass _BATCH_BYTES (a code that
+    passes it alone is a batch alone): ``_box_sides``, stacked over the
+    most codes a batch can hold at a time, gives each code's size once,
+    and every batch is cut from their cumulative sum.  Each batch is one
+    kernel pass, ``_zero_counts``, on the codes' points as ``ToricCode``
+    reduced them, that adds every block's codewords into one int64
+    (codes, n + 1) array of counts by weight: each projective class
+    contributes q-1 codewords of equal weight.  The zero codeword is added
+    to weight 0, so that a nonzero codeword of weight 0 still fails the
+    sum check.  Two exact checks per code: the enumerator sums to q^k, and
+    its first moment is n(q-1)q^(k-1), since every column of G is nonzero
+    and so each coordinate is nonzero on (q-1)q^(k-1) codewords.  The
+    enumerator's keys are its weights in ascending order, so the distance
+    is the second.
     """
     field, k, m, n = codes[0].field, codes[0].k, codes[0].m, codes[0].n
     q = field.q
     if any((c.field.q, c.k, c.m) != (q, k, m) for c in codes):
         raise ShapeMismatch("a kernel batch needs codes of one field, k and m")
     row = n if (layout := _layout(field)) is None else n * layout.itemsize  # a table row's bytes
-    # a code's G, table rows and weight counts take at least this many bytes,
+    # a code's table rows and weight counts take at least this many bytes,
     # with every top 1, so a batch holds at most `most` codes
-    most = max(1, (_BATCH_BYTES - row) // (k * (n + row) + 8 * (n + 1)))
+    most = max(1, (_BATCH_BYTES - row) // (k * row + 8 * (n + 1)))
+    points = [c._points for c in codes]
+    sides = np.concatenate([_box_sides(points[lo : lo + most], q - 1)
+                            for lo in range(0, len(codes), most)])
+    # start[i]: the bytes of the codes before code i; a batch adds a zero row
+    start = np.cumsum([0, *(sides.max(axis=1).sum(axis=1) * row + 8 * (n + 1))])
     lo = 0
     while lo < len(codes):
-        points = [c.polytope.points for c in codes[lo : lo + most]]
-        sides = _box_sides(points, q - 1)
-        size = 1
-        if len(points) > 1:
-            # the shared zero row, then each code's G, table rows and weight counts
-            used = row + np.cumsum(k * n + sides.max(axis=1).sum(axis=1) * row + 8 * (n + 1))
-            size = max(1, int(np.searchsorted(used, _BATCH_BYTES, side="right")))
-        batch, lo = codes[lo : lo + size], lo + size
-        per_weight = np.zeros((size, n + 1), dtype=np.int64)
-        G = build_generator_matrix(field, points[:size])
-        for c, zeros, classes in _zero_counts(field, G, sides[:size]):
+        hi = max(lo + 1, int(np.searchsorted(start, start[lo] + _BATCH_BYTES - row, "right")) - 1)
+        per_weight = np.zeros((hi - lo, n + 1), dtype=np.int64)
+        for c, zeros, classes in _zero_counts(field, points[lo:hi], sides[lo:hi]):
             np.add.at(per_weight, (c, n - zeros), classes * (q - 1))
-        del G  # its pass has ended and freed the table
         per_weight[:, 0] += 1  # the zero codeword
-        for code, counted in zip(batch, per_weight):
+        for code, counted in zip(codes[lo:hi], per_weight):
             weights = np.flatnonzero(counted != 0)  # a bool scan beats an int64 one
             counts = dict(zip(weights.tolist(), counted[weights].tolist()))
             if sum(counts.values()) != q**k:
@@ -362,16 +365,17 @@ def _fill_invariants(codes) -> None:
                     f"not n(q-1)q^(k-1) = {n * (q - 1) * q ** (k - 1)}"
                 )
             code._enumerated = (int(weights[1]), counts)
-        del per_weight, counted  # before the next batch builds its G
+        lo = hi
+        del per_weight, counted  # before the next batch allocates its own
 
 
-def _zero_counts(field: FieldSpec, G: np.ndarray, sides: np.ndarray):
-    """Yield (c, zeros, classes) per block for one pass over the stacked
-    (codes, k, n) generator matrices G of a batch of codes that share one
-    field, k and m: three arrays with one entry per torus orbit in the
-    block, the index in the batch of the orbit's code, the zero count of
-    the orbit's representative and its number of projective classes.
-    ``sides`` is the stacked ``_box_sides`` of the codes' points.
+def _zero_counts(field: FieldSpec, points, sides: np.ndarray):
+    """Yield (c, zeros, classes) per block for one pass over a batch of
+    codes that share one field, k and m, given as their points, each code
+    k m-tuples reduced mod q-1: three arrays with one entry per torus
+    orbit in the block, the index in the batch of the orbit's code, the
+    zero count of the orbit's representative and its number of projective
+    classes.  ``sides`` is the stacked ``_box_sides`` of the codes' points.
 
     The representatives of all (code, support) pairs are numbered in one
     range: codes in batch order, each code's supports in mask order, each
@@ -383,30 +387,25 @@ def _zero_counts(field: FieldSpec, G: np.ndarray, sides: np.ndarray):
     The term of point r of code c is one of few rows, since its digit
     stays below top_cr, the largest side at r over the code's supports.
     One table, built once per pass and freed with it, holds one zero row,
-    the term of a point off the support, and then alpha^d * G_c[r] for
-    d < top_cr, code by code and point by point: one copy for all rows of
-    top 1 and one take from the scales lookup for each other row.  A block
-    is k row copies from it, summed.  In GF(9), GF(25), GF(27) and GF(49)
-    the lookup writes the table in the field's ``_layout``, which
-    ``_add_nibbles`` adds.
+    the term of a point off the support, and then alpha^d * G_c[r] at row
+    first_cr + d for d < top_cr, code by code and point by point, all
+    written by one ``_monomial_rows``.  A block is k row copies from it,
+    summed.  In GF(9), GF(25), GF(27) and GF(49) the table is in the
+    field's ``_layout``, which ``_add_nibbles`` adds.
     """
-    _, k, n = G.shape
+    k, m = len(points[0]), len(points[0][0])
     n1 = field.q - 1
+    n = n1**m
     on = _mask_tables(k)[0][1:]  # the points of each support
-    tops = sides.max(axis=1).ravel()  # per (code, point), G's rows in order
-    first = np.cumsum(tops) - tops + 1  # the table row of G_c[r] itself
-    scales = field.mul_u8[field.exp_u8[: int(tops.max())]]  # row d: times alpha^d
-    add, flat, ones = _add_words, G.reshape(-1, n), tops == 1
+    tops = sides.max(axis=1).ravel()  # per (code, point), in batch order
+    first = np.cumsum(tops) - tops + 1  # the table row of alpha^0 * G_c[r]
+    powers, add = field.exp_u8, _add_words  # the word of alpha^j at j
     if (layout := _layout(field)) is not None:
-        scales, add = layout[scales], _add_nibbles
-    table = np.zeros((1 + int(tops.sum()), n), dtype=scales.dtype)
-    # alpha^0 * G[r] is G[r] itself, laid out by scales[0] if need be
-    table[first[ones]] = flat[ones] if layout is None else scales[0][flat[ones]]
-    for r in np.flatnonzero(~ones).tolist():
-        top, row = int(tops[r]), int(first[r])
-        # G's entries index the q columns, so "clip" never acts; it lets
-        # take write into the table with no buffered copy
-        np.take(scales[:top], flat[r], 1, table[row : row + top], "clip")
+        powers, add = layout[powers], _add_nibbles
+    table = np.zeros((1 + int(tops.sum()), n), dtype=powers.dtype)
+    # row first_cr + d: point r of code c at digit d
+    _monomial_rows(np.repeat(np.reshape(points, (-1, m)), tops, 0),
+                   np.arange(1, len(table)) - np.repeat(first, tops), powers, table[1:])
     # per (code, support) pair, code-major: a term's table row at digit 0,
     # row 0 off the support, where the digit is 0 too
     pair_first = (first.reshape(-1, 1, k) * on).reshape(-1, k)

@@ -84,25 +84,28 @@ def test_generator_matrix_matches_the_log_grid_product(q, m):
 
 
 def test_a_stacked_build_equals_the_matrices_built_alone():
-    # a mixed stack of one k and m: a tetrahedron, a width-1 configuration
-    # bordered to k = 4 points and random vectors, over a field of each kind
+    # one build of the rows of a mixed stack of one k and m, a tetrahedron,
+    # a width-1 configuration bordered to k = 4 points and random vectors,
+    # writes each set's G, over a field of each kind
     for q in (7, 8, 9, 16):
         field = make_field(q)
         sets = [empty_tetrahedron(1, 3).points, width1_representative((2, 1), 1, 2).points[:4],
                 tuple(_exponent_vectors(q, 3, seed=q)[:4])]
-        G = build_generator_matrix(field, sets)
-        assert G.dtype == np.uint8 and G.shape == (3, 4, (q - 1) ** 3)
-        for g, points in zip(G, sets):
-            assert np.array_equal(g, build_generator_matrix(field, points))
+        points = [p for vectors in sets for p in codes._reduced_points(field, vectors)]
+        out = np.empty((12, (q - 1) ** 3), dtype=np.uint8)
+        stack = codes._monomial_rows(points, 0, field.exp_u8, out).reshape(3, 4, -1)
+        for G, vectors in zip(stack, sets):
+            assert np.array_equal(G, build_generator_matrix(field, vectors))
+            assert np.array_equal(G, generator_matrix_reference(field, vectors))
     field = make_field(5)
     with pytest.raises(ExponentCollision):
-        build_generator_matrix(field, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (4, 0, 0))])
+        build_generator_matrix(field, ((0, 0, 0), (1, 0, 0), (4, 0, 0)))
     with pytest.raises(ShapeMismatch):
-        build_generator_matrix(field, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0),)])
+        build_generator_matrix(field, ((0, 0, 0), (1, 0)))
 
 
 def test_g_is_built_on_first_read_only(monkeypatch):
-    # the census enumerates its kept codes from G stacks it builds and frees
+    # the census enumerates its kept codes from their points
     entries = census(make_field(16), 4)
     assert entries and not any("G" in vars(e.code) for e in entries)
     code = entries[0].code
@@ -115,6 +118,21 @@ def test_g_is_built_on_first_read_only(monkeypatch):
     monkeypatch.setattr(codes, "build_generator_matrix", unread)
     with pytest.raises(ExponentCollision):
         build_code(make_field(3), LatticePolytope(((1, 0, 0), (3, 0, 0))))
+
+
+def test_no_kernel_pass_builds_a_g(monkeypatch):
+    # a census pass and the pass of a code asked alone write their tables
+    # from the points, so neither needs build_generator_matrix
+    field = make_field(7)
+    want = projective_reference(build_code(field, empty_tetrahedron(1, 3)))[1]
+
+    def unread(*args):
+        raise AssertionError("G was built")
+
+    monkeypatch.setattr(codes, "build_generator_matrix", unread)
+    assert census(make_field(16), 4)
+    code = build_code(field, empty_tetrahedron(1, 3))
+    assert code.min_distance_brute().value == want and "G" not in vars(code)
 
 
 def test_generator_matrix_peak_memory():

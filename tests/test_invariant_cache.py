@@ -19,21 +19,20 @@ from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Kernel passes, each as a copy of its batch's stack of generator
-    matrices, which the pass builds and frees."""
-    stacks = []
+    """Kernel passes, each as the list of its batch's point sets."""
+    batches = []
     kernel = codes._zero_counts
 
-    def counted(field, G, sides):
-        stacks.append(G.copy())
-        return kernel(field, G, sides)
+    def counted(field, points, sides):
+        batches.append(list(points))
+        return kernel(field, points, sides)
 
     monkeypatch.setattr(codes, "_zero_counts", counted)
-    return stacks
+    return batches
 
 
-def _stack(*codes):
-    return np.stack([c.G for c in codes])
+def _points(*codes):
+    return [c._points for c in codes]
 
 
 def test_census_fills_each_column_key_once_in_one_pass(passes):
@@ -44,7 +43,7 @@ def test_census_fills_each_column_key_once_in_one_pass(passes):
     assert len(entries) == 18
     kept = list(dict.fromkeys(e.code for e in entries))
     assert len(kept) == 15 and len(passes) == 1
-    assert np.array_equal(passes[0], _stack(*kept))
+    assert passes[0] == _points(*kept)
 
 
 def test_verify_fills_each_code_once(passes, capsys):
@@ -57,9 +56,9 @@ def test_verify_fills_each_code_once(passes, capsys):
     assert keys == [2, 8]
     assert main(["verify", "--q", "5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    # 18 distinct matrices: no code is filled twice
-    assert len({G.tobytes() for stack in passes for G in stack}) == sum(keys) + 4 + 4 == 18
-    assert [len(stack) for stack in passes] == keys + [1] * 8
+    # 18 distinct point sets: no code is filled twice
+    assert len({tuple(points) for batch in passes for points in batch}) == sum(keys) + 4 + 4 == 18
+    assert [len(batch) for batch in passes] == keys + [1] * 8
 
 
 def test_verify_reports_a_concordance_failure_next_to_the_formula_check(monkeypatch, capsys):
@@ -81,14 +80,14 @@ def test_witness_fallback_reads_the_cached_invariants(passes):
     field = make_field(7)
     c1, c2 = (build_code(field, empty_tetrahedron(s, 3)) for s in (1, 2))
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
-    assert len(passes) == 1 and np.array_equal(passes[0], _stack(c1, c2))
+    assert passes == [_points(c1, c2)]
     passes.clear()
     assert witness_equivalence(c1, c2).status == INCONCLUSIVE
     assert not passes
     # with one code enumerated, the pass holds only the other
     c3 = build_code(field, empty_tetrahedron(1, 3))
     assert witness_equivalence(c3, c2).status == INCONCLUSIVE
-    assert len(passes) == 1 and np.array_equal(passes[0], _stack(c3))
+    assert passes == [_points(c3)]
 
 
 def test_weight_enumerator_returns_a_new_dict():
@@ -110,8 +109,8 @@ def test_enumerator_keys_ascend():
 def test_kernel_yields_integers_only(q):
     # one arithmetic branch each: add mod p, XOR, nibbles in bytes, in uint16
     code = build_code(make_field(q), parse_polytope_spec("P32(1,1)"))
-    sides = _box_sides([code.polytope.points], q - 1)
-    for arrays in codes._zero_counts(code.field, code.G[None], sides):
+    sides = _box_sides([code._points], q - 1)
+    for arrays in codes._zero_counts(code.field, [code._points], sides):
         assert len(arrays) == 3 and not arrays[0].any()
         assert all(np.issubdtype(a.dtype, np.integer) for a in arrays)
     assert all(type(w) is int and type(c) is int for w, c in code.weight_enumerator().items())
@@ -120,7 +119,7 @@ def test_kernel_yields_integers_only(q):
 def _one_block(monkeypatch, zeros, classes):
     """The kernel replaced by one block of one orbit of the first code."""
     block = (np.array([0]), np.array([zeros]), np.array([classes]))
-    monkeypatch.setattr(codes, "_zero_counts", lambda field, G, sides: iter([block]))
+    monkeypatch.setattr(codes, "_zero_counts", lambda field, points, sides: iter([block]))
 
 
 def test_kernel_enumerator_sum_check(monkeypatch):
@@ -137,8 +136,8 @@ def test_a_nonzero_codeword_of_weight_0_fails_the_sum_check(monkeypatch):
     code = build_code(make_field(5), empty_tetrahedron(1, 2))
     kernel = codes._zero_counts
 
-    def with_a_zero_word(field, G, sides):
-        yield from kernel(field, G, sides)
+    def with_a_zero_word(field, points, sides):
+        yield from kernel(field, points, sides)
         yield np.array([0]), np.array([code.n]), np.array([1])
 
     monkeypatch.setattr(codes, "_zero_counts", with_a_zero_word)

@@ -26,7 +26,7 @@ from toric3.polytopes import (
     parse_polytope_spec,
 )
 
-from oracle import is_hermite_normal_form, projective_reference
+from oracle import generator_matrix_reference, is_hermite_normal_form, projective_reference
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -37,8 +37,8 @@ def kernel(code):
 
 def alone(code):
     """The kernel's (zeros, classes) blocks for a batch of code alone."""
-    sides = _box_sides([code.polytope.points], code.field.q - 1)
-    blocks = codes._zero_counts(code.field, code.G[None], sides)
+    sides = _box_sides([code._points], code.field.q - 1)
+    blocks = codes._zero_counts(code.field, [code._points], sides)
     return [(zeros, classes) for _, zeros, classes in blocks]
 
 
@@ -206,16 +206,16 @@ def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, d
     alone = [build_code(field, p)._invariants for p in polys]
     batched = [build_code(field, p) for p in polys]
     n = batched[0].n
-    # a code's G, table rows and weight counts, and the shared zero row
+    # a code's table rows and weight counts, and the shared zero row
     tops = _box_sides([p.points for p in polys], q - 1).max(axis=1)
-    sizes = (batched[0].k + tops.sum(axis=1)) * n + 8 * (n + 1)
+    sizes = tops.sum(axis=1) * n + 8 * (n + 1)
     monkeypatch.setattr(codes, "_WORD_BYTES", 8 * n * 7)
     monkeypatch.setattr(codes, "_BATCH_BYTES", int(n + sizes[:2].sum()))
     batches, spans, kernel = [], [], codes._zero_counts
 
-    def recorded(field, G, sides):
-        batches.append(len(G))
-        for c, zeros, classes in kernel(field, G, sides):
+    def recorded(field, points, sides):
+        batches.append(len(points))
+        for c, zeros, classes in kernel(field, points, sides):
             spans.append(len(set(c.tolist())))
             yield c, zeros, classes
 
@@ -267,6 +267,37 @@ def test_zero_counts_per_row_equal_the_whole_block_count(monkeypatch, q, spec):
 
     whole, per_row = stream(code.n + 1), stream(code.n)
     assert all(np.array_equal(a, b) for a, b in zip(whole, per_row))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 27, 49])
+def test_the_pass_table_holds_the_scaled_rows_of_the_oracle_g(monkeypatch, q):
+    # row 0 is zero, and row first_cr + d is alpha^d * G_c[r] in the
+    # field's layout, G_c the oracle's product of exponents and torus logs;
+    # E:1 has tops q-1 at two points
+    field = make_field(q)
+    batch = [build_code(field, parse_polytope_spec(spec)) for spec in ("E:1", "T(1,3)")]
+    sides = _box_sides([c._points for c in batch], q - 1)
+    tops = sides.max(axis=1)
+    assert tops.max() > 1
+    tables, build = [], codes._monomial_rows
+
+    def recorded(points, digits, words, out):
+        tables.append(out.base)  # out is the table without its zero row
+        return build(points, digits, words, out)
+
+    monkeypatch.setattr(codes, "_monomial_rows", recorded)
+    next(codes._zero_counts(field, [c._points for c in batch], sides))
+    [table] = tables
+    layout = codes._layout(field)
+    words = np.arange(q) if layout is None else layout
+    assert table.shape == (1 + tops.sum(), batch[0].n) and not table[0].any()
+    rows = iter(table[1:])
+    for code, top in zip(batch, tops):
+        G = generator_matrix_reference(field, code.polytope.points)
+        for r, d in ((r, d) for r in range(code.k) for d in range(top[r])):
+            scaled = field.mul_u8[field.exp_u8[d]][G[r]]
+            assert np.array_equal(next(rows), words[scaled]), (code.polytope.describe(), r, d)
+    assert next(rows, None) is None
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49])

@@ -53,8 +53,8 @@ def test_no_builtin_exception_raised(path):
 SRC = Path(__file__).resolve().parents[1] / "src" / "toric3"
 DISTANCE_PATH = {
     "codes.py": {
-        "build_generator_matrix", "_reduced_points", "_words", "_add_words", "_layout",
-        "_add_nibbles", "_zero_counts", "_box_sides",
+        "build_generator_matrix", "_monomial_rows", "_reduced_points", "_words", "_add_words",
+        "_layout", "_add_nibbles", "_zero_counts", "_box_sides",
         "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants",
         "_lattice_key", "_orbit_box", "_extended_gcd",
     },
