@@ -3,10 +3,10 @@
 Two routes are kept deliberately independent and cross-checked:
 
 * theorem verdicts — the gcd / residue criteria for empty tetrahedra
-  and the width-1 five-point propositions, all reached through
-  ``theorem_verdict``, by ``equiv``, the census and both parameter entries
-  alike; a tagged polytope met its family's (s, t) rule when it was made,
-  so no criterion checks it again.  Two families, or two distinct (3,2)
+  and the width-1 five-point propositions, each stated once, as keys per
+  polytope (``_criteria``) that ``theorem_verdict`` and the census compare;
+  a tagged polytope met its family's (s, t) rule when it was made, so no
+  criterion checks it again.  Two families, or two distinct (3,2)
   parameter pairs, get INCONCLUSIVE: over GF(5), exponent maps mod 4 with
   unit determinant send P32(1,1) onto P32(1,2) and P22 onto P32(1,3);
 * a constructive witness test — equal column keys (the Hermite normal
@@ -27,14 +27,12 @@ that key is proved to be the first code with its columns permuted by the
 same exponent map, an integer certificate with no G read; equal keys with
 no such map raise InternalCheckFailed.  The kept codes are enumerated
 together, one kernel pass per batch (``codes._fill_invariants``), and
-theorems are checked on every pair that shares a family and s or t, the
-only pairs they can decide.
+one pass joins the entries that a theorem calls EQUIVALENT, by key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, prod
 
 import numpy as np
@@ -46,12 +44,12 @@ from .errors import (
     ShapeMismatch,
     TheoremWitnessMismatch,
 )
-from .formulas import distance_formula
+from .formulas import _check_q, distance_formula
 from .galois import FieldSpec
 from .polytopes import (
     EMPTY_TETRA,
     FAMILIES,
-    SIG32,
+    SIG21,
     WIDTH1_SIGNATURES,
     LatticePolytope,
     det,
@@ -239,28 +237,10 @@ def dim4_theorem_verdict(
     return theorem_verdict(q, empty_tetrahedron(s1, t1), empty_tetrahedron(s2, t2))
 
 
-def _dim4_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
-    """``dim4_theorem_verdict`` on two empty tetrahedra."""
-    (s1, t1), (s2, t2) = pa.params, pb.params
-    if t1 == t2:
-        t = t1
-        g = gcd(t, q - 1)
-        if (s1 - s2) % g == 0:
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:residue-mod-gcd")
-        if white_canonical(s1, t) == white_canonical(s2, t):
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:lattice-orbit")
-        if white_canonical(s1, g) == white_canonical(s2, g):
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-t:orbit-mod-gcd")
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "same-t:neither-condition")
-    if s1 == s2:
-        if gcd(t1, q - 1) == gcd(t2, q - 1):
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "same-s:equal-gcd")
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "same-s:distinct-gcd")
-    return EquivalenceVerdict(INCONCLUSIVE, "NONE")
-
-
 def dim4_gcd_corollary(q: int, t: int) -> bool:
-    """True iff every s gives one and the same code class: gcd(t, q-1) = 1."""
+    """True iff every s gives one and the same code class: gcd(t, q-1) = 1;
+    q must be a prime power >= 3."""
+    _check_q(q)
     if t < 1:
         raise InvalidParams(f"t must be >= 1; got {t}")
     return gcd(t, q - 1) == 1
@@ -290,45 +270,54 @@ def dim5_theorem_verdict(
     return theorem_verdict(q, pa, width1_representative(sig_b, *params_b))
 
 
-def _dim5_criterion(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
-    """``dim5_theorem_verdict`` on two width-1 representatives of one
-    signature."""
-    if not pa.params:  # P22 and P31, the families without parameters
-        return EquivalenceVerdict(EQUIVALENT, "THEOREM", "single-class-signature")
-    (sa, ta), (sb, tb) = pa.params, pb.params
-    if pa.family == SIG32:
-        if (sa, ta) == (sb, tb):
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(3,2):identical-params")
-        return EquivalenceVerdict(INCONCLUSIVE, "NONE")
-    # (2,1)
-    if sa == sb:
-        if gcd(ta, q - 1) == gcd(tb, q - 1):
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(2,1):equal-gcd")
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "(2,1):distinct-gcd")
-    if ta == tb:
-        if (sa - sb) % gcd(ta, q - 1) == 0:
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(2,1):residue-mod-gcd")
-        if (sa + sb) % gcd(ta, q - 1) == 0:
-            return EquivalenceVerdict(EQUIVALENT, "THEOREM", "(2,1):reflection-mod-gcd")
-        return EquivalenceVerdict(INEQUIVALENT, "THEOREM", "(2,1):distinct-residue")
-    return EquivalenceVerdict(INCONCLUSIVE, "NONE")
+def _criteria(q: int, poly: LatticePolytope) -> list:
+    """One polytope's criteria, in the order they are tried: (bucket,
+    [(criterion, key), ...], otherwise), the bucket the s or t (for P22,
+    P31 and P32 the params) that the criteria need equal, and ``otherwise``
+    the INEQUIVALENT one, None where shared buckets have equal keys.  Each
+    last key is the closure of those before it, so any equal key makes it
+    equal.  W2, E and point lists have no criterion."""
+    if poly.family == EMPTY_TETRA:
+        (s, t), g = poly.params, gcd(poly.params[1], q - 1)
+        return [
+            (("t", t), [("same-t:residue-mod-gcd", s % g),
+                        ("same-t:lattice-orbit", white_canonical(s, t)),
+                        ("same-t:orbit-mod-gcd", white_canonical(s, g))],
+             "same-t:neither-condition"),
+            (("s", s), [("same-s:equal-gcd", g)], "same-s:distinct-gcd"),
+        ]
+    if poly.family == SIG21:
+        (s, t), g = poly.params, gcd(poly.params[1], q - 1)
+        return [
+            (("s", s), [("(2,1):equal-gcd", g)], "(2,1):distinct-gcd"),
+            (("t", t), [("(2,1):residue-mod-gcd", s % g),
+                        ("(2,1):reflection-mod-gcd", min(s % g, -s % g))],
+             "(2,1):distinct-residue"),
+        ]
+    if poly.family in WIDTH1_SIGNATURES:  # equal params only; P22 and P31 have none
+        name = "(3,2):identical-params" if poly.params else "single-class-signature"
+        return [(poly.params, [(name, poly.params)], None)]
+    return []
 
 
 def theorem_verdict(q: int, pa: LatticePolytope, pb: LatticePolytope) -> EquivalenceVerdict:
     """The theorem verdict for two polytopes, the one dispatch to the
-    criteria: two families get INCONCLUSIVE, as no stated criterion spans
-    two; two empty tetrahedra get ``dim4_theorem_verdict``'s, two width-1
-    representatives ``dim5_theorem_verdict``'s, whose docstrings say which
-    half a map proves; any other pair, W2 or E, INCONCLUSIVE.  A tagged
-    polytope met its family's rule when it was made.  Every criterion needs
-    equal s or equal t, so the verdict is INCONCLUSIVE unless both polytopes
-    are of one family and share s or t (P22 and P31 as s = t = 0)."""
-    if pa.family != pb.family:
-        return EquivalenceVerdict(INCONCLUSIVE, "NONE")
-    if pa.family == EMPTY_TETRA:
-        return _dim4_criterion(q, pa, pb)
-    if pa.family in WIDTH1_SIGNATURES:
-        return _dim5_criterion(q, pa, pb)
+    criteria (``_criteria``; ``dim4_theorem_verdict`` and
+    ``dim5_theorem_verdict`` state and prove them), decided at the first
+    bucket both have: EQUIVALENT named by the first equal key, else
+    INEQUIVALENT named by ``otherwise``.  Two families, or no shared bucket,
+    get INCONCLUSIVE.  q must be a prime power >= 3."""
+    _check_q(q)
+    if pa.family == pb.family:
+        theirs = {bucket: keys for bucket, keys, _ in _criteria(q, pb)}
+        for bucket, keys, otherwise in _criteria(q, pa):
+            if bucket in theirs:
+                for (name, a), (_, b) in zip(keys, theirs[bucket]):
+                    if a == b:
+                        return EquivalenceVerdict(EQUIVALENT, "THEOREM", name)
+                if otherwise:
+                    return EquivalenceVerdict(INEQUIVALENT, "THEOREM", otherwise)
+                break
     return EquivalenceVerdict(INCONCLUSIVE, "NONE")
 
 
@@ -388,10 +377,11 @@ def _census_entries(field: FieldSpec, dim: int):
 def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
     """Set each entry's class_id by union-find, seeded with each entry's
     parent the first entry with its code (entries share a code once their
-    merge is certified); a theorem EQUIVALENT joins two classes.  The
-    theorem is asked once of each pair of entries of one family that share
-    s or t, the earlier entry first: no other pair can get a verdict but
-    INCONCLUSIVE (``theorem_verdict``)."""
+    merge is certified).  One pass joins each entry, per bucket of its
+    ``_criteria``, to the first with its family, bucket and last key: as
+    each last key is the closure of the keys before it, these are the pairs
+    ``theorem_verdict`` calls EQUIVALENT.  A shared code and bucket with
+    different last keys (a theorem INEQUIVALENT) raises."""
     first: dict = {}
     parent = [first.setdefault(e.code, i) for i, e in enumerate(entries)]
 
@@ -406,20 +396,15 @@ def _group_classes(q: int, entries: list[CensusEntry]) -> list[CensusEntry]:
         d1, d2 = (e.code.min_distance_brute().value for e in (a, b))
         return TheoremWitnessMismatch(f"q={q}: {names}: {said}; d_brute={d1},{d2}")
 
-    # the sweep's (family, s, t) are distinct, so no pair shares both buckets
-    buckets: dict = {}
+    joined, by_code = {}, {}  # first entry per (family, bucket, last key), (code, family, bucket)
     for i, e in enumerate(entries):
-        buckets.setdefault((e.family, "s", e.s), []).append(i)
-        buckets.setdefault((e.family, "t", e.t), []).append(i)
-    for members in buckets.values():
-        for i, j in combinations(members, 2):
-            a, b = entries[i], entries[j]
-            thm = theorem_verdict(q, a.polytope, b.polytope)
-            if thm.status == INEQUIVALENT and a.code is b.code:
-                raise mismatch(a, b, f"theorem says {thm.status} ({thm.detail}), "
+        for bucket, keys, otherwise in _criteria(q, e.polytope):
+            last = keys[-1][1]
+            parent[find(i)] = find(joined.setdefault((e.family, bucket, last), i))
+            j, its_last = by_code.setdefault((e.code, e.family, bucket), (i, last))
+            if its_last != last:
+                raise mismatch(entries[j], e, f"theorem says {INEQUIVALENT} ({otherwise}), "
                                f"witness says {EQUIVALENT}")
-            if thm.status == EQUIVALENT:
-                parent[find(i)] = find(j)
 
     roots: dict[int, int] = {}
     for i, e in enumerate(entries):

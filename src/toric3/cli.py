@@ -15,7 +15,7 @@ from functools import cache
 
 from . import classify, formulas
 from .codes import build_code
-from .errors import ParseError, Toric3Error
+from .errors import InvalidField, NoFormulaForFamily, ParseError, Toric3Error
 from .galois import make_field
 from .polytopes import LatticePolytope, embedded_polygon, parse_polytope_spec
 
@@ -36,21 +36,25 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_mindist(args) -> int:
+    """Under ``both``, no closed form for this q gives "formula": null."""
     poly = parse_polytope_spec(args.poly)
     field = make_field(args.q)
     out = {"q": args.q, "poly": poly.describe(), "method": args.method}
-    ok = True
+    f = None
     if args.method in ("formula", "both"):
-        f = formulas.distance_formula(poly, args.q)
-        out["formula"] = f.to_dict()
+        try:
+            f = formulas.distance_formula(poly, args.q)
+        except (NoFormulaForFamily, InvalidField):
+            if args.method == "formula":
+                raise
+        out["formula"] = None if f is None else f.to_dict()
     if args.method in ("brute", "both"):
         brute = build_code(field, poly).min_distance_brute()
         out["brute"] = brute.to_dict()
-    if args.method == "both":
-        ok = f.lower <= brute.value <= f.upper
-        out["consistent"] = ok
+        if f is not None:
+            out["consistent"] = f.lower <= brute.value <= f.upper
     print(json.dumps(out, indent=2))
-    return 0 if ok else 1
+    return 0 if out.get("consistent", True) else 1
 
 
 def cmd_equiv(args) -> int:
@@ -186,13 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field-info", help="describe GF(q) and its tables")
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_field_info)
 
     p = sub.add_parser("mindist", help="minimum distance of a code")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--poly", required=True, help="e.g. T(1,2), P21(0,1), P22, W2:1, E:3")
     p.add_argument("--method", choices=["brute", "formula", "both"], default="both")
-    p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("equiv", help="decide monomial equivalence")
     p.add_argument("--q", type=int, required=True)
@@ -200,27 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--method", choices=["theorem", "witness", "both"], default="both")
     p.add_argument("--verbose", action="store_true", help="dump the witness permutation")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("census", help="equivalence-class census")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--dim", type=int, choices=[4, 5], required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--q", type=_int_list, required=True, help="comma-separated field orders")
-    p.set_defaults(func=cmd_verify)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the cached parser holds each command as it was when the parser was
-    # built; looked up by name, a command replaced since then is the one run
-    command = globals()[args.func.__name__]
+    # looked up when it runs, so a command replaced since the parser was
+    # built is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
     except ParseError as e:

@@ -7,6 +7,7 @@ from toric3.classify import (
     EQUIVALENT,
     INCONCLUSIVE,
     INEQUIVALENT,
+    _criteria,
     census,
     dim4_gcd_corollary,
     dim4_theorem_verdict,
@@ -15,7 +16,7 @@ from toric3.classify import (
     witness_equivalence,
 )
 from toric3.codes import build_code
-from toric3.errors import InvalidParams, ShapeMismatch, UnsupportedFamily
+from toric3.errors import InvalidField, InvalidParams, ShapeMismatch, UnsupportedFamily
 from toric3.galois import make_field
 from toric3.polytopes import (
     EMPTY_TETRA,
@@ -208,6 +209,45 @@ def test_only_pairs_sharing_a_family_and_s_or_t_get_a_verdict(q):
         and (v := theorem_verdict(q, pa, pb)).status != INCONCLUSIVE
     ]
     assert not decided, (q, decided[:5])
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16])
+def test_verdicts_are_equal_last_keys_in_the_first_shared_bucket(q):
+    # the census groups by last keys alone, so over every ordered pair the
+    # verdict must be EQUIVALENT exactly when two polytopes of one family
+    # have equal last keys in the first bucket both have, named by the first
+    # equal key; and any equal key must make the last keys equal
+    polys = [FAMILIES[f].make(s, t) for dim in (4, 5) for f, s, t in parameter_sweep(q, dim)]
+    polys += [parse_polytope_spec(f"W2:{i}") for i in range(1, 10)]
+    polys += [parse_polytope_spec(f"E:{i}") for i in range(1, 5)]
+    criteria = [_criteria(q, p) for p in polys]
+    for pa, ca in zip(polys, criteria):
+        for pb, cb in zip(polys, criteria):
+            v = theorem_verdict(q, pa, pb)
+            theirs = {bucket: keys for bucket, keys, _ in cb}
+            shared = [(ka, theirs[b], otherwise) for b, ka, otherwise in ca if b in theirs]
+            if pa.family != pb.family or not shared:
+                assert v.status == INCONCLUSIVE, (pa, pb)
+                continue
+            verdicts = []
+            for ka, kb, otherwise in shared:
+                equal = [name for (name, a), (_, b) in zip(ka, kb) if a == b]
+                assert bool(equal) == (ka[-1][1] == kb[-1][1]), (pa, pb)
+                verdicts.append((EQUIVALENT, equal[0]) if equal else (INEQUIVALENT, otherwise))
+            assert (v.status, v.detail) == verdicts[0], (pa, pb)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dim4_theorem_verdict(6, 1, 4, 3, 4),
+    lambda: dim5_theorem_verdict(10, (2, 1), (1, 3), (2, 1), (1, 5)),
+    lambda: theorem_verdict(2, empty_tetrahedron(0, 1), empty_tetrahedron(0, 1)),
+    lambda: dim4_gcd_corollary(12, 5),
+])
+def test_theorem_entries_reject_a_q_that_is_not_a_field(call):
+    # GF(6) once got EQUIVALENT same-t:residue-mod-gcd, while dim4_distance
+    # rejected q=6
+    with pytest.raises(InvalidField):
+        call()
 
 
 def test_no_criterion_for_width2_pairs():

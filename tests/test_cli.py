@@ -54,6 +54,26 @@ def test_mindist_no_formula_for_width2(capsys):
     assert "no closed-form" in err
 
 
+@pytest.mark.parametrize("q, spec", [
+    (7, "W2:1"),  # no closed form for the family
+    (7, "[(0,0,0);(1,0,0);(0,1,0);(0,0,1)]"),  # nor for a point list
+    (4, "P22"),  # the width-1 formulas need q >= 5
+])
+def test_mindist_both_without_a_formula_gives_the_brute_distance(capsys, q, spec):
+    code, out, err = run(capsys, "mindist", "--q", str(q), "--poly", spec)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert list(payload) == ["q", "poly", "method", "formula", "brute"]
+    assert payload["method"] == "both" and payload["formula"] is None
+    assert payload["brute"]["exact"] is True
+
+
+def test_mindist_both_still_fails_on_a_polytope_too_big_for_the_field(capsys):
+    # E:1 has no formula at q=4 and does not fit GF(4) either
+    code, _, err = run(capsys, "mindist", "--q", "4", "--poly", "E:1")
+    assert code == 1 and "does not fit GF(4)" in err
+
+
 def test_mindist_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "mindist", "--q", "5", "--poly", "T(2,4)")
     assert code == 2

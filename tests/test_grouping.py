@@ -1,7 +1,7 @@
 """Census grouping: each code whose column key an earlier code has is
 proved to be that code with its columns permuted, by an integer
-certificate with no G read; one code kept per key, theorem verdicts on
-every pair, each against the all-pairs reference."""
+certificate with no G read; one code kept per key, theorem keys read once
+per entry, each against the all-pairs reference."""
 
 import gc
 import re
@@ -14,7 +14,6 @@ from toric3 import classify
 from toric3.classify import (
     EQUIVALENT,
     INEQUIVALENT,
-    EquivalenceVerdict,
     _census_entries,
     _group_classes,
     census,
@@ -108,10 +107,13 @@ def test_census_keeps_one_code_per_column_key(monkeypatch):
 
 
 def _forced(monkeypatch, status):
-    def forced(q, pa, pb):
-        return EquivalenceVerdict(status, "THEOREM", "forced")
+    # every polytope in one bucket, whose last key all share (EQUIVALENT) or
+    # each has its own (INEQUIVALENT)
+    def forced(q, poly):
+        key = 0 if status == EQUIVALENT else poly.describe()
+        return [("forced", [("forced", key)], "forced")]
 
-    monkeypatch.setattr(classify, "theorem_verdict", forced)
+    monkeypatch.setattr(classify, "_criteria", forced)
 
 
 def _named(message, entries):
