@@ -37,15 +37,14 @@ from math import gcd, prod
 
 import numpy as np
 
-from .codes import ToricCode, _fill_invariants, _lattice_key, _log_sums, build_code
+from .codes import ToricCode, _fill_invariants, _lattice_key, _monomial_rows, build_code
 from .errors import (
     InternalCheckFailed,
-    InvalidParams,
     ShapeMismatch,
     TheoremWitnessMismatch,
 )
 from .formulas import _check_q, distance_formula
-from .galois import FieldSpec
+from .galois import FieldSpec, _check_t
 from .polytopes import (
     EMPTY_TETRA,
     FAMILIES,
@@ -178,8 +177,9 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         # which made its build about 0.2 ms slower at q=64
         g1, g2 = c1.column_tuples().T, c2.column_tuples().T
         n1 = c1.field.q - 1
-        steps = np.array(A, dtype=np.uint16)[:, :, None] * np.arange(n1, dtype=np.uint16) % n1
-        z = _log_sums(steps, n1)  # (m, n): z = A*x at every column x
+        # z[i]: the log of x^(row i of A), so z = A*x at every column x
+        z = _monomial_rows(A, 0, np.arange(n1, dtype=np.uint16),
+                           np.empty((c1.m, c1.n), dtype=np.uint16))
         perm = z[0].astype(np.intp)
         for axis in z[1:]:
             perm *= n1
@@ -241,8 +241,7 @@ def dim4_gcd_corollary(q: int, t: int) -> bool:
     """True iff every s gives one and the same code class: gcd(t, q-1) = 1;
     q must be a prime power >= 3."""
     _check_q(q)
-    if t < 1:
-        raise InvalidParams(f"t must be >= 1; got {t}")
+    _check_t(t)
     return gcd(t, q - 1) == 1
 
 
@@ -360,6 +359,8 @@ def _census_entries(field: FieldSpec, dim: int):
     polytopes.  One kernel pass per batch of the kept codes gives every
     entry its distance and weight enumerator."""
     q = field.q
+    if dim == 5:
+        _check_q(q, 5)  # the width-1 formulas need it; checked before any tuple
     first, entries = {}, []
     for family, s, t in parameter_sweep(q, dim):
         poly = FAMILIES[family].make(s, t)

@@ -134,6 +134,10 @@ def _monomial_rows(points, digits, words: np.ndarray, out: np.ndarray) -> np.nda
     """Fill and return ``out``: row i is alpha^d_i times the monomial of
     points[i], reduced mod q-1, at every torus point in column order, with
     alpha^j written as words[j]; d_i < q-1 is digits[i], or ``digits``.
+    ``words`` is any table indexed by log: the field's bytes for G, those
+    or their ``_layout`` for a pass's table, and the logs themselves,
+    arange(q-1), for the witness's permutation x -> A*x, whose points are
+    the rows of A.
 
     The log of a monomial at a torus point is a sum of per-axis logs
     e_j * i_j mod q-1.  Those of the first m-1 axes are summed in uint16,
@@ -149,7 +153,11 @@ def _monomial_rows(points, digits, words: np.ndarray, out: np.ndarray) -> np.nda
     rows, m, _ = steps.shape
     # head[i, c]: log of the product of the first m-1 factors at the c-th
     # point of their torus, lexicographic
-    head = _log_sums(steps[:, : m - 1], n1)
+    head = np.zeros((rows, 1), dtype=np.uint16)
+    for j in range(m - 1):
+        head = (head[:, :, None] + steps[:, j, None, :]).reshape(rows, -1)
+        # a sum s < 2(q-1) wraps below zero past s when s < q-1
+        np.minimum(head, head - np.uint16(n1), out=head)
     last = steps[:, m - 1] + np.asarray(digits, dtype=np.uint16).reshape(-1, 1)
     shifted = words[(units[:, None] + last[:, None, :]) % n1].reshape(-1, n1)
     # the index is in range, so "clip" never acts; it lets take write into
@@ -175,23 +183,6 @@ def _reduced_points(field: FieldSpec, exponent_vectors) -> list[tuple[int, ...]]
     return reduced
 
 
-def _log_sums(steps: np.ndarray, n1: int) -> np.ndarray:
-    """Sums mod n1 over the torus, in column order, of the uint16 per-axis
-    logs steps[..., j, :] (each below n1): shape (..., n1^m), m axes."""
-    acc = np.zeros((*steps.shape[:-2], 1), dtype=np.uint16)
-    for j in range(steps.shape[-2]):
-        acc = (acc[..., :, None] + steps[..., j, None, :]).reshape(*acc.shape[:-1], -1)
-        # a sum s < 2(q-1) wraps below zero past s when s < q-1
-        np.minimum(acc, acc - np.uint16(n1), out=acc)
-    return acc
-
-
-def _torus_logs(n1: int, m: int) -> np.ndarray:
-    """(m, n1^m) discrete logs of the torus points, one column per
-    point, lexicographic: the column order of every generator matrix."""
-    return np.indices((n1,) * m).reshape(m, -1)
-
-
 class ToricCode:
     """Evaluation code C_P over GF(q); immutable after construction."""
 
@@ -210,11 +201,6 @@ class ToricCode:
         G = build_generator_matrix(self.field, self.polytope.points)
         G.setflags(write=False)
         return G
-
-    def columns(self):
-        """Torus points as m-tuples, in column order."""
-        points = self.field.exp_table[_torus_logs(self.field.q - 1, self.m)]
-        return list(map(tuple, points.T.tolist()))
 
     def _coefficients(self, u) -> np.ndarray:
         """u as a (1, k) block, after checking its length and entries."""
@@ -296,10 +282,6 @@ class ToricCode:
         eye = [[int(i == j) for j in range(m)] for i in range(m)]
         pivots = _orbit_box([*self.polytope.points, *eye], self.field.q - 1)
         return [(b[:k], b[k:]) for b in pivots[:k]], [g[k:] for g in pivots[k:]]
-
-    def dump_log_matrix(self) -> list[list[int]]:
-        """Rows of discrete-log indices; every entry of G is a unit."""
-        return self.field.log_table[self.G].tolist()
 
 
 def _lattice_key(points, n1: int) -> tuple[tuple[int, ...], ...]:

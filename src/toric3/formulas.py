@@ -10,11 +10,10 @@ acceptance tests are bit-exact.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from numbers import Integral
 
 from .codes import DistanceResult
-from .errors import InvalidField, InvalidParams, NoFormulaForFamily, OutOfRange
-from .galois import _factor_prime_power
+from .errors import InvalidField, NoFormulaForFamily, OutOfRange
+from .galois import _check_t, _factor_prime_power
 from .polytopes import (
     EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, width1_representative
 )
@@ -34,8 +33,7 @@ def dim4_distance(q: int, t: int) -> DistanceResult:
     (q-1)^3 - (q-1)(q-3) - q*gcd(t, q-1).
     """
     _check_q(q)
-    if not isinstance(t, Integral) or t < 1:
-        raise InvalidParams(f"t must be an integer >= 1; got {t}")
+    _check_t(t)
     g = gcd(t, q - 1)
     if g == 1:
         d = (q - 1) ** 3 - (q - 1) ** 2

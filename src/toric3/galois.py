@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from numbers import Integral
 
 import numpy as np
 
@@ -118,47 +119,41 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, *elements) -> None:
-        """Raise InvalidParams unless every argument is an integer in
-        range(q): the tables would wrap a negative index around silently."""
-        for a in elements:
-            if not (isinstance(a, (int, np.integer)) and 0 <= a < self.q):
-                raise InvalidParams(f"field elements are integers in range({self.q}); got {a!r}")
+    def _element(self, a) -> int:
+        """a as a plain int, after checking that it is an integer in
+        range(q): the tables would wrap a negative index around silently,
+        and would read a bool as a mask."""
+        if not (isinstance(a, (int, np.integer)) and 0 <= a < self.q):
+            raise InvalidParams(f"field elements are integers in range({self.q}); got {a!r}")
+        return int(a)
 
     def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, b])
+        return int(self.add_table[self._element(a), self._element(b)])
 
     def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, self.neg_table[b]])
+        return int(self.add_table[self._element(a), self.neg_table[self._element(b)]])
 
     def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.mul_table[a, b])
+        return int(self.mul_table[self._element(a), self._element(b)])
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.neg_table[a])
+        return int(self.neg_table[self._element(a)])
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+        if (a := self._element(a)) == 0:
             raise DivisionByZero("inverse of 0")
         return int(self.exp_table[(-self.log_table[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         """a^e for any integer e; negative exponents need a != 0."""
-        self._check(a)
-        if a == 0:
+        if (a := self._element(a)) == 0:
             if e < 0:
                 raise DivisionByZero("0 to a negative power")
             return 1 if e == 0 else 0
         return int(self.exp_table[(self.log_table[a] * e) % (self.q - 1)])
 
     def log(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
+        if (a := self._element(a)) == 0:
             raise ZeroArgument("log of 0")
         return int(self.log_table[a])
 
@@ -211,6 +206,12 @@ def make_field(q: int) -> FieldSpec:
     return FieldSpec(p, m, coeffs, p)  # alpha encodes the polynomial x
 
 
+def _check_t(t) -> None:
+    """Raise InvalidParams unless t is an integer >= 1."""
+    if not isinstance(t, Integral) or t < 1:
+        raise InvalidParams(f"t must be an integer >= 1; got {t!r}")
+
+
 def solve_power(field: FieldSpec, t: int, a: int) -> set[int]:
     """All units y with y^t = a.
 
@@ -219,8 +220,7 @@ def solve_power(field: FieldSpec, t: int, a: int) -> set[int]:
     """
     if a == 0:
         raise ZeroArgument("solve_power requires a nonzero right-hand side")
-    if t < 1:
-        raise InvalidParams("t must be >= 1")
+    _check_t(t)
     n = field.q - 1
     la = field.log(a)
     g = gcd(t, n)
@@ -238,8 +238,7 @@ def power_image(field: FieldSpec, t: int) -> set[int]:
     Despite being called an automorphism in some sources, y -> y^t is
     only a homomorphism of the unit group for general t.
     """
-    if t < 1:
-        raise InvalidParams("t must be >= 1")
+    _check_t(t)
     n = field.q - 1
     g = gcd(t, n)
     return {field.exp(g * j) for j in range(n // g)}

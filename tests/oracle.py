@@ -1,8 +1,9 @@
-"""Independent references for the generator matrix, the enumeration
-kernel, the census grouping and its integer certificates, exponent maps
-between point sets and their action on G, the census parameter sweeps,
-the lattice determinants and the Hermite normal form, and the column
-partition of the T and P21 codes, kept for tests only."""
+"""Independent references for the torus log grid in column order, the
+generator matrix, the enumeration kernel, the census grouping and its
+integer certificates, exponent maps between point sets and their action
+on G, the census parameter sweeps, the lattice determinants and the
+Hermite normal form, and the column partition of the T and P21 codes,
+kept for tests only."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -12,10 +13,23 @@ from math import gcd
 import numpy as np
 
 from toric3.classify import EQUIVALENT, theorem_verdict, witness_equivalence
-from toric3.codes import _torus_logs, build_code
+from toric3.codes import build_code
 from toric3.errors import UnsupportedFamily
 from toric3.galois import make_field
 from toric3.polytopes import EMPTY_TETRA, SIG21, SIG22, SIG31, SIG32
+
+
+def torus_logs(n1, m):
+    """(m, n1^m) discrete logs of the torus points, one column per point,
+    in lexicographic order: the column order the library documents for
+    every generator matrix, built here independently of it."""
+    return np.indices((n1,) * m).reshape(m, -1)
+
+
+def torus_points(field, m):
+    """The torus points (alpha^i, alpha^j, ...) as m-tuples of field
+    elements, in the column order of ``torus_logs``."""
+    return list(map(tuple, field.exp_table[torus_logs(field.q - 1, m)].T.tolist()))
 
 
 def generator_matrix_reference(field, exponent_vectors):
@@ -23,7 +37,7 @@ def generator_matrix_reference(field, exponent_vectors):
     grid, reduced mod q-1: the build the per-axis log sums replaced."""
     E = np.array(exponent_vectors, dtype=np.int64)
     n1 = field.q - 1
-    return field.exp_u8[E @ _torus_logs(n1, E.shape[1]) % n1]
+    return field.exp_u8[E @ torus_logs(n1, E.shape[1]) % n1]
 
 
 def projective_reference(code):
@@ -74,7 +88,7 @@ def exponent_perm(c1, A) -> np.ndarray:
     """perm[x] = the column A*x mod q-1 of c1's torus at every column x,
     as one int64 product of A with the torus log grid."""
     n1, m = c1.field.q - 1, c1.m
-    z = np.array(A, dtype=np.int64) @ _torus_logs(n1, m) % n1
+    z = np.array(A, dtype=np.int64) @ torus_logs(n1, m) % n1
     return np.ravel_multi_index(tuple(z), (n1,) * m)
 
 
@@ -137,7 +151,7 @@ def is_monomial_map(field, poly_from, poly_to, A, b) -> bool:
     target = [tuple(c % n1 for c in p) for p in poly_to.points]
     if sorted(image) != sorted(target):
         return False
-    u = np.indices((n1,) * 3).reshape(3, -1)
+    u = torus_logs(n1, 3)
     v = (A.T @ u) % n1
     perm = (v[0] * n1 + v[1]) * n1 + v[2]
     if not np.array_equal(np.sort(perm), np.arange(n1 ** 3)):
@@ -264,7 +278,7 @@ def column_partition(code) -> ColumnPartition:
     _, t = code.polytope.params
     exp, n1 = code.field.exp_table, code.field.q - 1
     # x = alpha^i, y = alpha^j, z = alpha^l per column, so y^t = alpha^(j*t)
-    i, j, l = _torus_logs(n1, code.m)
+    i, j, l = torus_logs(n1, code.m)
     keys = zip(exp[i].tolist(), exp[l].tolist(), exp[j * t % n1].tolist())
     cells: dict = {}
     for idx, key in enumerate(keys):

@@ -262,6 +262,13 @@ def test_dim4_gcd_corollary():
     assert dim4_gcd_corollary(8, 7) is False
 
 
+@pytest.mark.parametrize("t", [0, 2.0, "2"])
+def test_dim4_gcd_corollary_needs_an_integer_t(t):
+    # as dim4_distance does; 2.0 and "2" once reached gcd and < as a bare TypeError
+    with pytest.raises(InvalidParams, match="t must be an integer >= 1"):
+        dim4_gcd_corollary(7, t)
+
+
 class TestDim5Theorem:
     def test_cross_signature(self):
         # no criterion spans two signatures; the witness separates this pair

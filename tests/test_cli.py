@@ -183,6 +183,17 @@ def test_census_not_prime_power(capsys):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_census_dim5_below_q5_names_the_formula_bound(q, monkeypatch, capsys):
+    # checked before any tuple is keyed or built: at q=3 two points of a
+    # width-1 polytope once collided first, with another message
+    swept = []
+    monkeypatch.setattr(classify, "parameter_sweep", lambda *a: swept.append(a) or [])
+    code, out, err = run(capsys, "census", "--q", str(q), "--dim", "5")
+    assert (code, out, err) == (1, "", f"error: formula needs q >= 5; got {q}\n")
+    assert swept == []
+
+
 def test_verify_q5(capsys):
     code, out, _ = run(capsys, "verify", "--q", "5")
     assert code == 0

@@ -22,7 +22,7 @@ from toric3.polytopes import (
     width1_representative,
 )
 
-from oracle import generator_matrix_reference, projective_reference
+from oracle import generator_matrix_reference, projective_reference, torus_points
 from test_column_match import ALL_ORDERS
 
 
@@ -37,7 +37,7 @@ def test_build_code_intro_example_gf11():
     # monomials 1, x, z, xyz over GF(11)
     code = build_code(make_field(11), empty_tetrahedron(1, 1))
     assert code.n == 1000
-    cols = code.columns()
+    cols = torus_points(code.field, code.m)
     for j in (0, 1, 17, 999):
         x, y, z = cols[j]
         assert tuple(int(v) for v in code.G[:, j]) == (
@@ -149,13 +149,13 @@ def test_generator_matrix_peak_memory():
 
 
 def test_column_order_is_lex_in_log_indices():
+    # the rows of G for e1, e2, e3 are the torus points' coordinates
     f = make_field(5)
-    code = build_code(f, empty_tetrahedron(1, 1))
-    cols = code.columns()
-    assert cols[0] == (1, 1, 1)
-    assert cols[1] == (1, 1, f.alpha)
-    assert cols[4] == (1, f.alpha, 1)
-    assert cols[16] == (f.alpha, 1, 1)
+    cols = build_generator_matrix(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]).T.tolist()
+    assert cols[0] == [1, 1, 1]
+    assert cols[1] == [1, 1, f.alpha]
+    assert cols[4] == [1, f.alpha, 1]
+    assert cols[16] == [f.alpha, 1, 1]
 
 
 class TestCountZeros:
@@ -302,10 +302,3 @@ def test_distance_result_errors_are_invalid_params():
         DistanceResult(3, 5, "bound").value
     assert issubclass(InvalidParams, ValueError) and issubclass(InvalidParams, Toric3Error)
 
-
-def test_dump_log_matrix_marks_zero():
-    f = make_field(5)
-    code = build_code(f, empty_tetrahedron(1, 1))
-    dump = code.dump_log_matrix()
-    assert dump[0] == [0] * 64  # all-ones row has log 0
-    assert all(isinstance(v, int) for row in dump for v in row)

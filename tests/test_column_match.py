@@ -25,7 +25,7 @@ from toric3.polytopes import (
     parse_polytope_spec,
 )
 
-from oracle import certificate_holds, exponent_perm, is_hermite_normal_form
+from oracle import certificate_holds, exponent_perm, is_hermite_normal_form, torus_points
 
 
 def _reference_perm(c1, c2):
@@ -370,7 +370,7 @@ def test_codewords_equal_pointwise_evaluation(q, spec):
     words = code._words(block)
     for u, word in zip(block.tolist(), words):
         expected = []
-        for x in code.columns():
+        for x in torus_points(field, code.m):
             v = 0
             for c, a in zip(u, poly.points):
                 mono = 1
@@ -397,7 +397,7 @@ def test_every_field_sums_codewords_like_its_scalar_arithmetic(q):
     block = np.random.default_rng(q).integers(0, q, size=(16, code.k))
     words = code._words(block)
     assert words.dtype == np.uint8
-    xs = code.columns()
+    xs = torus_points(field, code.m)
     for u, word in zip(block.tolist(), words.tolist()):
         expected = []
         for (x,) in xs:

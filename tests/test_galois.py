@@ -139,6 +139,31 @@ def test_exponent_below_one_is_invalid_params():
         power_image(f, 0)
 
 
+@pytest.mark.parametrize("t", [2.5, "2"])
+def test_solve_power_needs_an_integer_t(t):
+    with pytest.raises(InvalidParams, match="t must be an integer >= 1"):
+        solve_power(make_field(7), t, 1)
+
+
+@pytest.mark.parametrize("t", [2.5, "2"])
+def test_power_image_needs_an_integer_t(t):
+    with pytest.raises(InvalidParams, match="t must be an integer >= 1"):
+        power_image(make_field(7), t)
+
+
+@pytest.mark.parametrize("method, args, expected", [
+    ("add", (True, 1), 2), ("add", (1, True), 2), ("sub", (True, 1), 0), ("sub", (1, True), 0),
+    ("mul", (True, 3), 3), ("mul", (3, True), 3), ("neg", (True,), 6), ("inv", (True,), 1),
+    ("pow", (True, 5), 1), ("log", (True,), 0),
+])
+def test_a_bool_element_is_its_int(method, args, expected):
+    # True is the integer 1, as encode takes it; the tables once read it as
+    # a mask and numpy raised a bare TypeError
+    f = make_field(7)
+    assert getattr(f, method)(*args) == expected
+    assert getattr(f, method)(*map(int, args)) == expected
+
+
 @pytest.mark.parametrize("q", [5, 7, 8, 9])
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 6])
 def test_solve_power_size_law(q, t):
