@@ -10,6 +10,7 @@ acceptance tests are bit-exact.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from numbers import Integral
 
 from .codes import DistanceResult
 from .errors import InvalidField, NoFormulaForFamily, OutOfRange
@@ -59,7 +60,7 @@ def degenerate_distance(i: int, q: int) -> DistanceResult:
     Exact for i in {1, 2, 3}; for the exceptional triangle (i = 4) only
     a strict lower bound d > (q-1)^3 - (1+q+2*sqrt(q))(q-1) is known.
     """
-    if not 1 <= i <= 4:
+    if not (isinstance(i, Integral) and 1 <= i <= 4):
         raise OutOfRange(f"embedded polygons are 1..4; got {i}")
     _check_q(q, 5 if i == 1 else 3)
     n = (q - 1) ** 3

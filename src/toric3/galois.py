@@ -45,8 +45,9 @@ MAX_ORDER = 64
 
 
 def _factor_prime_power(q: int):
-    """Return (p, m) with q = p^m and p prime, or None."""
-    if q < 2:
+    """Return (p, m) with q = p^m and p prime, or None; None also for a q
+    that is not an integer."""
+    if not isinstance(q, Integral) or q < 2:
         return None
     for p in range(2, q + 1):
         if q % p == 0:
@@ -146,11 +147,14 @@ class FieldSpec:
 
     def pow(self, a: int, e: int) -> int:
         """a^e for any integer e; negative exponents need a != 0."""
+        if not isinstance(e, (int, np.integer)):
+            raise InvalidParams(f"exponents are integers; got {e!r}")
         if (a := self._element(a)) == 0:
             if e < 0:
                 raise DivisionByZero("0 to a negative power")
             return 1 if e == 0 else 0
-        return int(self.exp_table[(self.log_table[a] * e) % (self.q - 1)])
+        # in Python ints: an int64 product overflows for a large e
+        return int(self.exp_table[int(self.log_table[a]) * int(e) % (self.q - 1)])
 
     def log(self, a: int) -> int:
         if (a := self._element(a)) == 0:
@@ -185,7 +189,7 @@ def _smallest_primitive_root(p: int) -> int:
     raise UnsupportedOrder(f"no primitive root found mod {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 stays no prime power after make_field(7)
 def make_field(q: int) -> FieldSpec:
     """Build GF(q), 3 <= q <= 64, q a prime power.
 

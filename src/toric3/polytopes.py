@@ -121,19 +121,6 @@ class AffineUnimodularMap:
             for r in range(3)
         )
 
-    def compose(self, other: "AffineUnimodularMap") -> "AffineUnimodularMap":
-        """self after other: p -> self(other(p))."""
-        a, b = self.matrix, other.matrix
-        m = tuple(
-            tuple(sum(a[r][i] * b[i][c] for i in range(3)) for c in range(3))
-            for r in range(3)
-        )
-        shift = tuple(
-            sum(a[r][i] * other.shift[i] for i in range(3)) + self.shift[r]
-            for r in range(3)
-        )
-        return AffineUnimodularMap(m, shift)
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -217,7 +204,7 @@ WIDTH1_VOLUMES = {
 
 
 def width2_representative(row: int) -> LatticePolytope:
-    if not 1 <= row <= 9:
+    if not (isinstance(row, Integral) and 1 <= row <= 9):
         raise OutOfRange(f"width-2 table rows are 1..9; got {row}")
     return LatticePolytope(_WIDTH2_ROWS[row - 1], WIDTH2, (row,))
 
@@ -236,7 +223,7 @@ def embedded_polygon(i: int) -> LatticePolytope:
     i=1 is the segment of length 3, i=2 the triangle with a length-2
     edge, i=3 the unit square, i=4 the exceptional triangle.
     """
-    if not 1 <= i <= 4:
+    if not (isinstance(i, Integral) and 1 <= i <= 4):
         raise OutOfRange(f"embedded polygons are 1..4; got {i}")
     return LatticePolytope(_EMBEDDED_POLYGONS[i - 1], EMBEDDED_POLYGON, (i,))
 
@@ -416,47 +403,30 @@ def white_canonical(s: int, t: int) -> int:
     return min(s % t, (-s) % t, inv, (-inv) % t)
 
 
-def _case1_map(s1: int, s2: int, t: int) -> AffineUnimodularMap:
-    k = (s1 - s2) // t
-    return AffineUnimodularMap(((1, k, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
-
-
-def _case2_map(s1: int, s2: int, t: int) -> AffineUnimodularMap:
-    k = (1 - s1 * s2) // t
-    return AffineUnimodularMap(((s1, k, 0), (t, -s2, 0), (0, 0, -1)), (0, 0, 1))
-
-
-def _case3_map(s1: int, s2: int, t: int) -> AffineUnimodularMap:
-    k = (s1 + s2) // t
-    return AffineUnimodularMap(((-1, k, -1), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
-
-
 def white_equivalence_map(s1: int, s2: int, t: int) -> AffineUnimodularMap | None:
     """Explicit unimodular map sending T(s2,t) vertices onto T(s1,t) ones.
 
-    Exists exactly when s1 is congruent to s2, s2^-1, -s2, or -s2^-1
-    mod t; returns None otherwise.
+    By White's theorem one exists exactly when s1 is congruent to s2,
+    s2^-1, -s2 or -s2^-1 mod t, that is when the two share
+    ``white_canonical``; returns None otherwise.  The map is, in that
+    order of the congruences:
+
+    1. s1 = s2:     ((1, (s1-s2)/t, 0), (0, 1, 0), (0, 0, 1)), shift 0;
+    2. s1*s2 = 1:   ((s1, (1-s1*s2)/t, 0), (t, -s2, 0), (0, 0, -1)), shift (0, 0, 1);
+    3. s1 = -s2:    ((-1, (s1+s2)/t, -1), (0, 1, 0), (0, 0, 1)), shift (1, 0, 0);
+    4. s1*s2 = -1:  ((s1, -(1+s1*s2)/t, 1), (t, -s2, 0), (0, 0, -1)), shift (0, 0, 1),
+       which is map 3 after map 2 through T(s2^-1,t), written out; no
+       entry depends on the choice of s2^-1.
     """
-    if (
-        not all(isinstance(a, Integral) for a in (s1, s2, t))
-        or t < 1 or gcd(s1, t) != 1 or gcd(s2, t) != 1
-    ):
-        raise InvalidParams(f"need gcd(s1,t)=gcd(s2,t)=1, t >= 1; got ({s1},{s2},{t})")
+    if white_canonical(s1, t) != white_canonical(s2, t):
+        return None
     if (s1 - s2) % t == 0:
-        return _case1_map(s1, s2, t)
+        return AffineUnimodularMap(((1, (s1 - s2) // t, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
     if (s1 * s2 - 1) % t == 0:
-        return _case2_map(s1, s2, t)
+        return AffineUnimodularMap(((s1, (1 - s1 * s2) // t, 0), (t, -s2, 0), (0, 0, -1)), (0, 0, 1))
     if (s1 + s2) % t == 0:
-        return _case3_map(s1, s2, t)
-    if (s1 * s2 + 1) % t == 0:
-        # compose: T(s2,t) -> T(s_mid,t) by case 2, then -> T(s1,t) by case 3
-        s_mid = pow(s2, -1, t)
-        step2 = _case2_map(s_mid, s2, t)
-        # adjust s_mid so exact integer divisibility in case 3 holds
-        # (s1 + s_mid is divisible by t because s1 = -s2^-1 mod t)
-        step3 = _case3_map(s1, s_mid, t)
-        return step3.compose(step2)
-    return None
+        return AffineUnimodularMap(((-1, (s1 + s2) // t, -1), (0, 1, 0), (0, 0, 1)), (1, 0, 0))
+    return AffineUnimodularMap(((s1, (-1 - s1 * s2) // t, 1), (t, -s2, 0), (0, 0, -1)), (0, 0, 1))
 
 
 def apply_map(f: AffineUnimodularMap, poly: LatticePolytope) -> LatticePolytope:

@@ -64,6 +64,12 @@ def test_make_field_not_prime_power():
         make_field(12)
 
 
+def test_a_float_q_is_not_a_prime_power_even_after_its_int_is_cached():
+    make_field(7)
+    with pytest.raises(NotPrimePower):
+        make_field(7.0)
+
+
 def test_make_field_out_of_range():
     with pytest.raises(UnsupportedOrder):
         make_field(2)
@@ -111,6 +117,13 @@ def test_pow_examples():
         for x in f.units():
             assert f.pow(x, 0) == 1
             assert f.pow(x, q - 1) == 1
+
+
+def test_pow_reduces_a_huge_exponent_exactly():
+    # 10**30 = 4 and -10**30 = 2 mod q - 1 = 6
+    f7 = make_field(7)
+    assert f7.pow(3, 10**30) == 3**4 % 7 == 4
+    assert f7.pow(3, -10**30) == 3**2 % 7 == 2
 
 
 def test_inv_zero_raises():

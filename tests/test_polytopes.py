@@ -255,6 +255,18 @@ class TestWhiteEquivalenceMap:
         image = apply_map(m, empty_tetrahedron(5, 7))
         assert set(image.points) == set(empty_tetrahedron(3, 7).points)
 
+    @pytest.mark.parametrize("s1, s2, matrix, shift", [
+        # 5 = -2 mod 7: the reflection
+        (2, 5, ((-1, 1, -1), (0, 1, 0), (0, 0, 1)), (1, 0, 0)),
+        # 2 = -3^-1 mod 7: the reflection after the inversion
+        (2, 3, ((2, -1, 1), (7, -3, 0), (0, 0, -1)), (0, 0, 1)),
+    ])
+    def test_case3_and_case4_examples(self, s1, s2, matrix, shift):
+        m = white_equivalence_map(s1, s2, 7)
+        assert (m.matrix, m.shift) == (matrix, shift)
+        image = apply_map(m, empty_tetrahedron(s2, 7))
+        assert set(image.points) == set(empty_tetrahedron(s1, 7).points)
+
     def test_none_case(self):
         # {+-2^(+-1)} mod 5 = {2, 3}, does not contain 1
         assert white_equivalence_map(1, 2, 5) is None

@@ -114,3 +114,66 @@ def test_classify_trusts_the_polytopes_it_is_given():
                 if isinstance(d, ast.Lambda) or inspect.isroutine(value):
                     bad.append((d.lineno, "function default"))
     assert not bad, f"classify.py: rule checks or function-valued defaults at {bad}"
+
+
+def _integer_guard_calls():
+    """(name, function, a valid argument tuple) for every public entry that
+    takes integers; each int in the tuple, nested ones included, is a slot."""
+    from toric3 import (
+        degenerate_distance, dim4_distance, dim4_gcd_corollary, dim4_theorem_verdict,
+        dim5_distance, dim5_theorem_verdict, make_field, power_image, solve_power,
+    )
+    from toric3.polytopes import (
+        embedded_polygon, white_canonical, white_equivalence_map, width2_representative,
+    )
+
+    f = make_field(7)
+    return [
+        ("make_field", make_field, (7,)),
+        ("FieldSpec.pow", f.pow, (3, 2)),
+        ("FieldSpec.exp", f.exp, (2,)),
+        ("dim4_distance", dim4_distance, (7, 3)),
+        ("dim5_distance", dim5_distance, ((2, 1), 7, 1, 3)),
+        ("degenerate_distance", degenerate_distance, (2, 7)),
+        ("dim4_gcd_corollary", dim4_gcd_corollary, (7, 3)),
+        ("dim4_theorem_verdict", dim4_theorem_verdict, (7, 1, 3, 2, 3)),
+        ("dim5_theorem_verdict", dim5_theorem_verdict, (7, (2, 1), (1, 3), (2, 1), (1, 4))),
+        ("width2_representative", width2_representative, (1,)),
+        ("embedded_polygon", embedded_polygon, (1,)),
+        ("white_canonical", white_canonical, (2, 5)),
+        ("white_equivalence_map", white_equivalence_map, (2, 3, 5)),
+        ("solve_power", solve_power, (f, 2, 2)),
+        ("power_image", power_image, (f, 2)),
+    ]
+
+
+def _with_slot_replaced(args, bad):
+    """Every copy of args with one int, at any depth, replaced by bad."""
+    for i, a in enumerate(args):
+        if isinstance(a, tuple):
+            subs = _with_slot_replaced(a, bad)
+        else:
+            subs = [bad] if isinstance(a, int) else []
+        yield from ((*args[:i], sub, *args[i + 1 :]) for sub in subs)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2"], ids=["float", "str"])
+def test_a_non_integer_in_an_integer_slot_raises_a_toric3_error(bad):
+    """A float or a string where an integer belongs raises a Toric3Error
+    subclass, never a bare TypeError or IndexError, and is never read as
+    an integer."""
+    from toric3.errors import Toric3Error
+
+    escaped = []
+    for name, fn, args in _integer_guard_calls():
+        fn(*args)
+        for call in _with_slot_replaced(args, bad):
+            try:
+                fn(*call)
+            except Toric3Error:
+                continue
+            except Exception as e:
+                escaped.append((name, call, type(e).__name__))
+            else:
+                escaped.append((name, call, "no error"))
+    assert not escaped, f"non-integer slots not guarded: {escaped}"
