@@ -21,7 +21,7 @@ Because the identity-diagonal reduction is argued rather than proved in
 full generality, a failed column match alone yields INCONCLUSIVE; only
 a differing invariant upgrades it to INEQUIVALENT.
 
-The census keys each parameter tuple by its points alone (``_lattice_key``)
+The census keys each parameter tuple by its points alone (``_orbit_box``)
 and builds a code only for the first tuple with a key.  A later tuple with
 that key is proved to be the first code with its columns permuted by the
 same exponent map, an integer certificate with no G read; equal keys with
@@ -37,7 +37,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .codes import ToricCode, _fill_invariants, _lattice_key, _monomial_rows, build_code
+from .codes import ToricCode, _fill_invariants, _monomial_rows, _orbit_box, build_code
 from .errors import (
     InternalCheckFailed,
     ShapeMismatch,
@@ -162,7 +162,8 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         raise ShapeMismatch("codes live over different fields")
     if c1.n != c2.n or c1.k != c2.k:
         raise ShapeMismatch(f"parameter mismatch: [{c1.n},{c1.k}] vs [{c2.n},{c2.k}]")
-    if c1._column_key == c2._column_key:
+    n1 = c1.field.q - 1
+    if _orbit_box(c1.polytope.points, n1) == _orbit_box(c2.polytope.points, n1):
 
         def failed(why):
             names = f"q={c1.field.q}: {c1.polytope.describe()} vs {c2.polytope.describe()}"
@@ -176,7 +177,6 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         # not yet read is built here, before the permutation's temporaries,
         # which made its build about 0.2 ms slower at q=64
         g1, g2 = c1.column_tuples().T, c2.column_tuples().T
-        n1 = c1.field.q - 1
         # z[i]: the log of x^(row i of A), so z = A*x at every column x
         z = _monomial_rows(A, 0, np.arange(n1, dtype=np.uint16),
                            np.empty((c1.m, c1.n), dtype=np.uint16))
@@ -352,7 +352,7 @@ class CensusEntry:
 
 def _census_entries(field: FieldSpec, dim: int):
     """One entry per in-scope parameter tuple.  A tuple's column key is read
-    off its points (``_lattice_key``); only the first tuple with a key gets
+    off its points (``_orbit_box``); only the first tuple with a key gets
     a code.  A later tuple is that code with its columns permuted, proved
     by an integer certificate (``_unit_exponent_map``), and shares it;
     equal keys with no certificate raise InternalCheckFailed naming both
@@ -364,7 +364,7 @@ def _census_entries(field: FieldSpec, dim: int):
     first, entries = {}, []
     for family, s, t in parameter_sweep(q, dim):
         poly = FAMILIES[family].make(s, t)
-        kept = first.get(key := _lattice_key(poly.points, q - 1))
+        kept = first.get(key := _orbit_box(poly.points, q - 1))
         if kept is None:
             kept = first[key] = build_code(field, poly)
         elif _unit_exponent_map(kept, poly.points) is None:

@@ -33,9 +33,8 @@ into the batch's counts by weight.  Each code's enumerator is keyed by
 ascending weight, and two exact checks guard it: it sums to q^k, and its
 first moment is n(q-1)q^(k-1).
 
-A code's column key, the Hermite normal form of its exponent lattice mod
-q-1 (``_lattice_key``), is read off its points, so codes can be grouped
-by their column multisets before any G is built.
+A code's column key, the Hermite form ``_orbit_box`` of its points' lattice
+mod q-1, groups codes by column multiset before any G is built.
 
 G and the codewords are uint8, one byte per field element.  A
 representative's codeword is a sum of k terms alpha^d * G[r], or zero
@@ -57,6 +56,7 @@ and row by row from n = _ROW_COUNT_WIDTH on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -169,12 +169,15 @@ def _monomial_rows(points, digits, words: np.ndarray, out: np.ndarray) -> np.nda
 
 def _reduced_points(field: FieldSpec, exponent_vectors) -> list[tuple[int, ...]]:
     """The exponent vectors mod q-1, after checking that they are nonempty,
-    of one length and distinct mod q-1."""
+    of one length, distinct mod q-1 and integers to ``operator.index``."""
     n1 = field.q - 1
     lengths = {len(e) for e in exponent_vectors}
     if len(lengths) != 1 or 0 in lengths:
         raise ShapeMismatch("exponent vectors must be nonempty and of one length")
-    reduced = [tuple([int(a) % n1 for a in e]) for e in exponent_vectors]
+    try:
+        reduced = [tuple([operator.index(a) % n1 for a in e]) for e in exponent_vectors]
+    except TypeError:
+        raise InvalidParams(f"exponents must be integers; got {exponent_vectors}") from None
     if len(set(reduced)) != len(reduced):
         raise ExponentCollision(
             "two lattice points are congruent mod q-1 componentwise; "
@@ -262,11 +265,6 @@ class ToricCode:
         return self.G.T
 
     @cached_property
-    def _column_key(self) -> tuple[tuple[int, ...], ...]:
-        """The column key of the code's points, ``_lattice_key``."""
-        return _lattice_key(self.polytope.points, self.field.q - 1)
-
-    @cached_property
     def _tracked_basis(self) -> tuple[list, list]:
         """(basis, kernel) of the exponent lattice, reduced once for the
         exponent maps of ``classify._unit_exponent_map``.
@@ -282,15 +280,6 @@ class ToricCode:
         eye = [[int(i == j) for j in range(m)] for i in range(m)]
         pivots = _orbit_box([*self.polytope.points, *eye], self.field.q - 1)
         return [(b[:k], b[k:]) for b in pivots[:k]], [g[k:] for g in pivots[k:]]
-
-
-def _lattice_key(points, n1: int) -> tuple[tuple[int, ...], ...]:
-    """Column key of the code of ``points`` over GF(n1 + 1), read off the
-    points alone: the Hermite normal form of E*Z^m + (q-1)*Z^k, E the points
-    as rows.  The logs of G's columns run over its residues mod q-1, each
-    equally often, so two codes' keys are equal iff their column multisets
-    are."""
-    return tuple(map(tuple, _orbit_box(points, n1)))
 
 
 def _fill_invariants(codes) -> None:
@@ -539,10 +528,10 @@ def _wedge_steps(cols: int) -> np.ndarray:
     return wedge
 
 
-def _orbit_box(rows, n1: int) -> list[list[int]]:
-    """Hermite normal form b of the lattice spanned by the columns of the
-    integer matrix ``rows`` (r rows) and by n1*Z^r: b[i] zero before i,
-    pivot h_i = b[i][i] > 0, and 0 <= b[j][i] < h_i in every earlier row j.
+def _orbit_box(rows, n1: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form b, as row tuples, of the lattice spanned by the
+    columns of the integer matrix ``rows`` (r rows) and by n1*Z^r: b[i] zero
+    before i, pivot h_i = b[i][i] > 0, and 0 <= b[j][i] < h_i for all j < i.
 
     The box 0 <= y_i < h_i holds exactly one point of each coset of the
     lattice in Z^r, so prod(h) is its index, and each h_i divides n1.
@@ -551,9 +540,10 @@ def _orbit_box(rows, n1: int) -> list[list[int]]:
     each generator until its entry there is the gcd h_i; the generators
     lose their multiples of b[i], and (n1/h_i)*b[i] - n1*e_i, zero there,
     joins them.  Then the entries above the pivot are reduced.  The form is
-    unique to the lattice.  Its callers are ``_lattice_key`` and
-    ``ToricCode._tracked_basis``; the kernel's boxes come from
-    ``_box_sides``, which tests check against it.
+    unique to the lattice, so on a code's points E it is the column key: G's
+    column logs run over the residues of E*Z^m + n1*Z^k, each equally often,
+    so two codes' keys are equal iff their column multisets are.  Tests
+    check ``_box_sides``, which gives the kernel's boxes, against it.
     """
     r = len(rows)
     gens = [[a % n1 for a in col] for col in zip(*rows)]
@@ -578,7 +568,7 @@ def _orbit_box(rows, n1: int) -> list[list[int]]:
             if c := row[col] // h:
                 row[:] = [a - c * e for a, e in zip(row, b)]
         pivots.append(b)
-    return pivots
+    return tuple(map(tuple, pivots))
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:

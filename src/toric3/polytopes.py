@@ -36,9 +36,17 @@ def det(rows) -> int:
     )
 
 
+def _require_integers(points) -> None:
+    """Raise InvalidParams unless every coordinate is an integer; a bool
+    counts as its int."""
+    if not all(isinstance(a, Integral) for p in points for a in p):
+        raise InvalidParams(f"lattice points need integer coordinates; got {points}")
+
+
 def _require_3d(points) -> None:
     if not points or any(len(p) != 3 for p in points):
         raise DegenerateConfiguration("3-D geometry needs points, each with 3 coordinates")
+    _require_integers(points)
 
 
 def det4(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
@@ -46,6 +54,11 @@ def det4(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
     homogeneous rows (1, p), which is det(p1 - p0, p2 - p0, p3 - p0), the
     signed normalized volume of their tetrahedron; 0 iff coplanar."""
     _require_3d((p0, p1, p2, p3))
+    return _det4(p0, p1, p2, p3)
+
+
+def _det4(p0: Point, p1: Point, p2: Point, p3: Point) -> int:
+    """``det4`` of points that a caller has checked."""
     return det([(a - p0[0], b - p0[1], c - p0[2]) for a, b, c in (p1, p2, p3)])
 
 
@@ -67,7 +80,9 @@ class LatticePolytope:
     The point order is fixed by the defining family and determines the
     generator-matrix row order downstream.  A polytope tagged with a family
     of a census is checked against the family's rule as it is made, so
-    every consumer of its params can trust them.
+    every consumer of its params can trust them; an untagged one has its
+    coordinates checked to be integers, which a family's are by
+    construction.
     """
 
     points: tuple[Point, ...]
@@ -76,7 +91,9 @@ class LatticePolytope:
 
     def __post_init__(self):
         fam = FAMILIES.get(self.family)
-        if fam is not None and (fam.admits or fam.signature):
+        if fam is None:
+            _require_integers(self.points)
+        elif fam.admits or fam.signature:
             s, t = (*self.params, 0, 0)[:2]  # a missing parameter is 0, as in the constructors
             fam.check(s, t)
             arity = 2 if fam.admits else 0
@@ -283,8 +300,10 @@ def parameter_sweep(q: int, dim: int) -> list[tuple[str, int, int]]:
     """(family, s, t) for every polytope of the dim's census over GF(q):
     each (s, t) with 1 <= t <= q-2 and 0 <= s <= t that the family's rule
     admits, or (0, 0) once for a family without parameters."""
-    if dim not in CENSUS_FAMILIES:
-        raise InvalidParams(f"dim must be 4 or 5; got {dim}")
+    if not isinstance(q, Integral):
+        raise InvalidParams(f"q must be an integer; got {q!r}")
+    if not (isinstance(dim, Integral) and dim in CENSUS_FAMILIES):
+        raise InvalidParams(f"dim must be 4 or 5; got {dim!r}")
     out = []
     for tag in CENSUS_FAMILIES[dim]:
         admits = FAMILIES[tag].admits
@@ -310,7 +329,8 @@ def affine_dependence(poly: LatticePolytope) -> Signature:
     if poly.k != 5:
         raise DegenerateConfiguration("affine dependence needs exactly 5 points")
     pts = poly.points
-    coeffs = [(-1) ** k * det4(*pts[:k], *pts[k + 1 :]) for k in range(5)]
+    _require_3d(pts)
+    coeffs = [(-1) ** k * _det4(*pts[:k], *pts[k + 1 :]) for k in range(5)]
     if all(c == 0 for c in coeffs):
         raise DegenerateConfiguration("points do not affinely span R^3")
     first = next(c for c in coeffs if c != 0)
@@ -373,14 +393,15 @@ def hull_lattice_points(vertices: tuple[Point, ...]) -> list[Point]:
     v = vertices
     if len(v) != 4:
         raise DegenerateConfiguration(f"a tetrahedron has 4 vertices; got {len(v)}")
-    vol = det4(*v)
+    _require_3d(v)
+    vol = _det4(*v)
     if vol == 0:
         raise DegenerateConfiguration("vertices are coplanar")
     box = (range(min(p[i] for p in v), max(p[i] for p in v) + 1) for i in range(3))
     # p is in the hull iff putting it in place of any one vertex never
     # flips the orientation
     return [p for p in product(*box)
-            if all(vol * det4(*v[:i], p, *v[i + 1 :]) >= 0 for i in range(4))]
+            if all(vol * _det4(*v[:i], p, *v[i + 1 :]) >= 0 for i in range(4))]
 
 
 def is_empty_tetrahedron(poly: LatticePolytope) -> bool:

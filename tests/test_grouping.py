@@ -18,7 +18,7 @@ from toric3.classify import (
     _group_classes,
     census,
 )
-from toric3.codes import ToricCode, _lattice_key
+from toric3.codes import ToricCode, _orbit_box
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
 
@@ -57,11 +57,12 @@ def test_keyed_census_matches_the_all_pairs_partition(q, dim, routes):
     expected = all_pairs_classes(q, entries)
     _group_classes(q, entries)
     assert [e.class_id for e in entries] == expected
-    keys = Counter(e.code._column_key for e in entries)
+    keys = Counter(_orbit_box(e.code.polytope.points, q - 1) for e in entries)
     # every merge is proved once, by an integer certificate
     assert len(certified) == len(entries) - len(keys) and witnessed == []
     for c1, points in certified:
-        assert c1._column_key == _lattice_key(points, q - 1) and c1.polytope.points != points
+        assert _orbit_box(c1.polytope.points, q - 1) == _orbit_box(points, q - 1)
+        assert c1.polytope.points != points
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,8 @@ def test_theorem_inequivalent_between_equal_keys_raises(monkeypatch):
         _group_classes(7, entries)
     message = str(err.value)
     a, b = _named(message, entries)
-    assert a is not b and a.code._column_key == b.code._column_key
+    assert a is not b
+    assert _orbit_box(a.code.polytope.points, 6) == _orbit_box(b.code.polytope.points, 6)
     assert f"theorem says {INEQUIVALENT} (forced), witness says {EQUIVALENT}" in message
 
 

@@ -11,7 +11,7 @@ from toric3.classify import (
     witness_equivalence,
 )
 from toric3.cli import main
-from toric3.codes import ToricCode, _box_sides, _lattice_key, build_code
+from toric3.codes import ToricCode, _box_sides, _orbit_box, build_code
 from toric3.errors import InternalCheckFailed, TheoremWitnessMismatch
 from toric3.galois import make_field
 from toric3.polytopes import FAMILIES, empty_tetrahedron, parameter_sweep, parse_polytope_spec
@@ -51,7 +51,7 @@ def test_verify_fills_each_code_once(passes, capsys):
     # the 5 dim-4 and 9 width-1 tuples, then a batch of one for each of the
     # 4 embedded polygons and their 4 planar codes for the product theorem
     sweeps = (parameter_sweep(5, 4), parameter_sweep(5, 5))
-    keys = [len({_lattice_key(FAMILIES[f].make(s, t).points, 4) for f, s, t in sweep})
+    keys = [len({_orbit_box(FAMILIES[f].make(s, t).points, 4) for f, s, t in sweep})
             for sweep in sweeps]
     assert keys == [2, 8]
     assert main(["verify", "--q", "5"]) == 0
@@ -160,7 +160,7 @@ def test_witness_checks_its_permutation(monkeypatch):
     c2 = build_code(field, empty_tetrahedron(1, 2))
     # the keys match and the map (the identity) is a bijection, the
     # matrices do not match
-    c2._column_key = c1._column_key
+    monkeypatch.setattr(classify, "_orbit_box", lambda points, n1: ())
     identity = [[int(i == j) for j in range(3)] for i in range(3)]
     monkeypatch.setattr(classify, "_unit_exponent_map", lambda c1, points: identity)
     with pytest.raises(InternalCheckFailed, match=r"G1\[:, perm\] != G2 \(columns differ\)"):
@@ -171,7 +171,7 @@ def test_cli_exits_1_on_a_failed_witness_check(monkeypatch, capsys):
     monkeypatch.setattr(
         ToricCode, "column_tuples", lambda self: np.zeros((self.n, self.k), dtype=np.int64)
     )
-    monkeypatch.setattr(ToricCode, "_column_key", ())
+    monkeypatch.setattr(classify, "_orbit_box", lambda points, n1: ())
     argv = ["equiv", "--q", "5", "--a", "T(1,1)", "--b", "T(1,2)", "--method", "witness"]
     assert main(argv) == 1
     assert "G1[:, perm] != G2" in capsys.readouterr().err
@@ -182,8 +182,7 @@ def test_a_failed_witness_in_the_census_names_both_codes(monkeypatch, capsys, co
     # one key for every tuple, as the census and the witness read it: the
     # first dim-4 tuple whose lattice differs from T(0,1)'s gets no
     # certificate, and the census raises before it builds a code
-    for module in (codes, classify):
-        monkeypatch.setattr(module, "_lattice_key", lambda points, n1: ())
+    monkeypatch.setattr(classify, "_orbit_box", lambda points, n1: ())
     assert main(command.split()) == 1
     err = capsys.readouterr().err
     assert "q=5: T(0,1) vs T(1,2): column keys match, yet no exponent map" in err

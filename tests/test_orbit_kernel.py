@@ -14,7 +14,7 @@ import pytest
 from toric3 import codes
 from toric3.classify import _census_entries
 from toric3.cli import main
-from toric3.codes import _box_sides, _lattice_key, _orbit_box, build_code
+from toric3.codes import _box_sides, _orbit_box, build_code
 from toric3.errors import ShapeMismatch
 from toric3.formulas import degenerate_distance, dim5_distance
 from toric3.galois import make_field
@@ -201,7 +201,7 @@ def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, d
     first = {}
     for family, s, t in parameter_sweep(q, dim):
         poly = FAMILIES[family].make(s, t)
-        first.setdefault(_lattice_key(poly.points, q - 1), poly)
+        first.setdefault(_orbit_box(poly.points, q - 1), poly)
     polys = list(first.values())[:12]
     alone = [build_code(field, p)._invariants for p in polys]
     batched = [build_code(field, p) for p in polys]

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations, product
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from oracle import affine_volumes_reference, hull_reference, volume_reference
 
@@ -21,6 +22,7 @@ from toric3.polytopes import (
     is_empty_tetrahedron,
     lattice_width,
     normalized_volume_tetra,
+    parameter_sweep,
     parse_polytope_spec,
     white_canonical,
     white_equivalence_map,
@@ -302,6 +304,18 @@ class TestApplyMap:
         ident = AffineUnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
         with pytest.raises(DegenerateConfiguration):
             make(ident)
+
+
+def test_integer_types_are_integer_coordinates():
+    # the non-integer ones are in the guard test of tests/test_source_rules.py
+    tetra = ((np.int64(0), False, 0), (1, 0, 0), (0, True, 0), (0, 0, np.int8(1)))
+    assert det4(*tetra) == 1 and lattice_width(LatticePolytope(tetra)) == 1
+
+
+def test_parameter_sweep_needs_an_integer_dim():
+    # 4.0 used to pass as the dict key 4 and give the dim-4 sweep
+    with pytest.raises(InvalidParams):
+        parameter_sweep(7, 4.0)
 
 
 class TestSpecGrammar:

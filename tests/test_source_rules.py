@@ -56,7 +56,7 @@ DISTANCE_PATH = {
         "build_generator_matrix", "_monomial_rows", "_reduced_points", "_words", "_add_words",
         "_layout", "_add_nibbles", "_zero_counts", "_box_sides",
         "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants",
-        "_lattice_key", "_orbit_box", "_extended_gcd",
+        "_orbit_box", "_extended_gcd",
     },
     "classify.py": {"_unit_exponent_map"},
     "polytopes.py": {"det"},
@@ -123,11 +123,16 @@ def _integer_guard_calls():
         degenerate_distance, dim4_distance, dim4_gcd_corollary, dim4_theorem_verdict,
         dim5_distance, dim5_theorem_verdict, make_field, power_image, solve_power,
     )
+    from toric3.codes import build_generator_matrix
     from toric3.polytopes import (
-        embedded_polygon, white_canonical, white_equivalence_map, width2_representative,
+        WIDTH2, AffineUnimodularMap, LatticePolytope, det4, embedded_polygon,
+        hull_lattice_points, lattice_width, parameter_sweep, white_canonical,
+        white_equivalence_map, width2_representative,
     )
 
     f = make_field(7)
+    tetra = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return [
         ("make_field", make_field, (7,)),
         ("FieldSpec.pow", f.pow, (3, 2)),
@@ -144,6 +149,17 @@ def _integer_guard_calls():
         ("white_equivalence_map", white_equivalence_map, (2, 3, 5)),
         ("solve_power", solve_power, (f, 2, 2)),
         ("power_image", power_image, (f, 2)),
+        ("LatticePolytope", LatticePolytope, (tetra,)),
+        ("build_generator_matrix", build_generator_matrix, (f, tetra)),
+        ("parameter_sweep", parameter_sweep, (7, 4)),
+        ("AffineUnimodularMap", AffineUnimodularMap, (identity, (0, 0, 0))),
+        ("AffineUnimodularMap.apply_point",
+         AffineUnimodularMap(identity, (0, 0, 0)).apply_point, ((0, 1, 0),)),
+        ("det4", det4, tetra),
+        # tagged, so that the points reach lattice_width's own check, not the
+        # one an untagged polytope makes as it is built
+        ("lattice_width", lambda *p: lattice_width(LatticePolytope(p, WIDTH2, (1,))), tetra),
+        ("hull_lattice_points", hull_lattice_points, (tetra,)),
     ]
 
 
