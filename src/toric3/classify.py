@@ -5,10 +5,11 @@ Two routes are kept deliberately independent and cross-checked:
 * theorem verdicts — the gcd / residue criteria for empty tetrahedra
   and the width-1 five-point propositions, each stated once, as keys per
   polytope (``_criteria``) that ``theorem_verdict`` and the census compare;
-  a tagged polytope met its family's (s, t) rule when it was made, so no
-  criterion checks it again.  Two families, or two distinct (3,2)
-  parameter pairs, get INCONCLUSIVE: over GF(5), exponent maps mod 4 with
-  unit determinant send P32(1,1) onto P32(1,2) and P22 onto P32(1,3);
+  a tagged polytope was checked against its family's row, its (s, t) rule
+  and its points, when it was made, so no criterion checks it again.  Two
+  families, or two distinct (3,2) parameter pairs, get INCONCLUSIVE: over
+  GF(5), exponent maps mod 4 with unit determinant send P32(1,1) onto
+  P32(1,2) and P22 onto P32(1,3);
 * a constructive witness test — equal column keys (the Hermite normal
   form of each code's exponent lattice), so equal column multisets, give an
   exponent map E2 = E1*A mod q-1 with det A a unit mod q-1

@@ -171,13 +171,14 @@ def _reduced_points(field: FieldSpec, exponent_vectors) -> list[tuple[int, ...]]
     """The exponent vectors mod q-1, after checking that they are nonempty,
     of one length, distinct mod q-1 and integers to ``operator.index``."""
     n1 = field.q - 1
-    lengths = {len(e) for e in exponent_vectors}
+    vectors = tuple(exponent_vectors)  # read once: the length check would use up a generator
+    lengths = {len(e) for e in vectors}
     if len(lengths) != 1 or 0 in lengths:
         raise ShapeMismatch("exponent vectors must be nonempty and of one length")
     try:
-        reduced = [tuple([operator.index(a) % n1 for a in e]) for e in exponent_vectors]
+        reduced = [tuple([operator.index(a) % n1 for a in e]) for e in vectors]
     except TypeError:
-        raise InvalidParams(f"exponents must be integers; got {exponent_vectors}") from None
+        raise InvalidParams(f"exponents must be integers; got {vectors}") from None
     if len(set(reduced)) != len(reduced):
         raise ExponentCollision(
             "two lattice points are congruent mod q-1 componentwise; "

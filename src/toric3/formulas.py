@@ -10,13 +10,13 @@ acceptance tests are bit-exact.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from numbers import Integral
 
 from .codes import DistanceResult
-from .errors import InvalidField, NoFormulaForFamily, OutOfRange
+from .errors import InvalidField, NoFormulaForFamily
 from .galois import _check_t, _factor_prime_power
 from .polytopes import (
-    EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, width1_representative
+    EMBEDDED_POLYGON, EMPTY_TETRA, WIDTH1_SIGNATURES, LatticePolytope, embedded_polygon,
+    width1_representative,
 )
 
 
@@ -60,8 +60,7 @@ def degenerate_distance(i: int, q: int) -> DistanceResult:
     Exact for i in {1, 2, 3}; for the exceptional triangle (i = 4) only
     a strict lower bound d > (q-1)^3 - (1+q+2*sqrt(q))(q-1) is known.
     """
-    if not (isinstance(i, Integral) and 1 <= i <= 4):
-        raise OutOfRange(f"embedded polygons are 1..4; got {i}")
+    embedded_polygon(i)  # raises OutOfRange unless i is a row of E
     _check_q(q, 5 if i == 1 else 3)
     n = (q - 1) ** 3
     if i == 1:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from math import gcd
 from numbers import Integral
@@ -79,10 +78,9 @@ class LatticePolytope:
 
     The point order is fixed by the defining family and determines the
     generator-matrix row order downstream.  A polytope tagged with a family
-    of a census is checked against the family's rule as it is made, so
-    every consumer of its params can trust them; an untagged one has its
-    coordinates checked to be integers, which a family's are by
-    construction.
+    is checked against its ``FAMILIES`` row as it is made, params first,
+    and then keeps the row's points for them, which its own must equal; an
+    untagged one has its coordinates checked to be distinct integer points.
     """
 
     points: tuple[Point, ...]
@@ -93,14 +91,14 @@ class LatticePolytope:
         fam = FAMILIES.get(self.family)
         if fam is None:
             _require_integers(self.points)
-        elif fam.admits or fam.signature:
-            s, t = (*self.params, 0, 0)[:2]  # a missing parameter is 0, as in the constructors
-            fam.check(s, t)
-            arity = 2 if fam.admits else 0
-            if len(self.params) != arity:
-                raise InvalidParams(f"{self.family} takes {arity} parameters; got {self.params}")
-        if len(set(self.points)) != len(self.points):
-            raise InvalidParams("polytope points must be pairwise distinct")
+            if len(set(self.points)) != len(self.points):
+                raise InvalidParams("polytope points must be pairwise distinct")
+            return
+        points = fam.row_points(self.params)
+        if self.points != points:
+            raise InvalidParams(
+                f"{self.family} {self.params} has the points {points}; got {self.points}")
+        object.__setattr__(self, "points", points)  # equal floats become the row's ints
 
     @property
     def k(self) -> int:
@@ -162,42 +160,6 @@ class Signature:
 # -- families -----------------------------------------------------------------
 
 
-def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
-    """T(s,t) = Conv{(0,0,0),(1,0,0),(0,0,1),(s,t,1)}, gcd(s,t)=1."""
-    return LatticePolytope(
-        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (s, t, 1)), EMPTY_TETRA, (s, t)
-    )
-
-
-def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
-    """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or
-    (3,2); (s, t) = (0, 0), the default, for the two without parameters."""
-    try:
-        tag = _SIGNATURE_TAGS[sig]
-    except (KeyError, TypeError):  # TypeError: a list or other unhashable sig
-        raise InvalidParams(f"unknown width-1 signature {sig}") from None
-    points = {
-        SIG21: ((0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (s, t, 1)),
-        SIG22: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
-        SIG31: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)),
-        SIG32: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (s, t, 1)),
-    }[tag]
-    # (0, 0) is no parameters, which P22 and P31 take; the rule sees the rest
-    return LatticePolytope(points, tag, (s, t) if s or t else ())
-
-
-_WIDTH2_ROWS: tuple[tuple[Point, ...], ...] = (
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 2, 3)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (-2, -1, -2)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 2, 1), (-1, -1, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 3, 1), (-1, -2, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-1, -2, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-1, -1, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 7, 1), (-1, -2, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (3, 7, 1), (-2, -3, -1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-3, -5, -2)),
-)
-
 # Printed volume vectors for the width-2 rows, in row order.
 WIDTH2_VOLUMES: tuple[tuple[int, ...], ...] = (
     (-9, 3, 3, 3, 0),
@@ -220,77 +182,114 @@ WIDTH1_VOLUMES = {
 }
 
 
-def width2_representative(row: int) -> LatticePolytope:
-    if not (isinstance(row, Integral) and 1 <= row <= 9):
-        raise OutOfRange(f"width-2 table rows are 1..9; got {row}")
-    return LatticePolytope(_WIDTH2_ROWS[row - 1], WIDTH2, (row,))
-
-
-_EMBEDDED_POLYGONS: tuple[tuple[Point, ...], ...] = (
-    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
-    ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)),
-)
-
-
-def embedded_polygon(i: int) -> LatticePolytope:
-    """The 4-point polygon class representative i in 1..4, embedded at z=0.
-
-    i=1 is the segment of length 3, i=2 the triangle with a length-2
-    edge, i=3 the unit square, i=4 the exceptional triangle.
-    """
-    if not (isinstance(i, Integral) and 1 <= i <= 4):
-        raise OutOfRange(f"embedded polygons are 1..4; got {i}")
-    return LatticePolytope(_EMBEDDED_POLYGONS[i - 1], EMBEDDED_POLYGON, (i,))
-
-
 @dataclass(frozen=True)
 class Family:
-    """A named family: its spec format, one ``%d`` per parameter, its
-    constructor, and the signature of the width-1 families.  A family with
-    parameters (s, t) also carries their rule: ``admits``, a predicate that
-    every ``LatticePolytope`` with the family's tag runs as it is made, and
-    ``needs``, the rule in words."""
+    """One row of ``FAMILIES``, all that is stated of a family: its tag, its
+    spec format, whose ``%d``s are its parameters, and its points for
+    them.  Those are ``points``, a function of the parameters, a formula
+    of (s, t) or a constant, or, for a parameter i, row i of ``table``,
+    counted from 1.  ``admits`` is the rule of (s, t), and ``needs`` states
+    the rule or names the table's rows in words.  ``signature`` is that of
+    a width-1 family.  Every ``LatticePolytope`` with the tag is checked
+    against the row as it is made."""
 
+    tag: str
     spec: str
-    make: Callable[..., LatticePolytope]
+    points: Callable[..., tuple[Point, ...]] | None = None
     signature: tuple[int, int] | None = None
     admits: Callable[[int, int], bool] | None = None
     needs: str = ""
+    table: tuple[tuple[Point, ...], ...] = ()
 
-    def check(self, s: int, t: int) -> None:
-        """Raise InvalidParams unless the family has the parameters (s, t),
-        integers that meet its rule; a family without a rule has none,
-        written (0, 0)."""
-        if self.admits is None:
-            if (s, t) != (0, 0):
-                raise InvalidParams(f"{self.spec} takes no parameters; got ({s},{t})")
-        elif not (isinstance(s, Integral) and isinstance(t, Integral) and self.admits(s, t)):
-            raise InvalidParams(f"{self.needs}; got ({s},{t})")
+    def row_points(self, params: tuple) -> tuple[Point, ...]:
+        """The family's points for params, once the params are checked:
+        their number against the spec, then the rule (InvalidParams both)
+        or the table's range (OutOfRange)."""
+        arity = self.spec.count("%d")
+        if len(params) != arity:
+            raise InvalidParams(f"{self.tag} takes {arity} parameters; got {params}")
+        if self.table:
+            (i,) = params
+            if not (isinstance(i, Integral) and 1 <= i <= len(self.table)):
+                raise OutOfRange(f"{self.needs} 1..{len(self.table)}; got {i}")
+            return self.table[i - 1]
+        if self.admits:
+            s, t = params
+            if not (isinstance(s, Integral) and isinstance(t, Integral) and self.admits(s, t)):
+                raise InvalidParams(f"{self.needs}; got ({s},{t})")
+        return self.points(*params)
+
+    def make(self, *params) -> LatticePolytope:
+        """The family's polytope for params; (0, 0), what ``parameter_sweep``
+        gives a family without parameters, is none."""
+        if params == (0, 0) and "%d" not in self.spec:
+            params = ()
+        return LatticePolytope(self.row_points(params), self.tag, params)
 
 
-FAMILIES: dict[str, Family] = {
-    EMPTY_TETRA: Family(
-        "T(%d,%d)", empty_tetrahedron, None,
+FAMILIES: dict[str, Family] = {f.tag: f for f in (
+    Family(
+        EMPTY_TETRA, "T(%d,%d)", lambda s, t: ((0, 0, 0), (1, 0, 0), (0, 0, 1), (s, t, 1)), None,
         lambda s, t: t >= 1 and gcd(s, t) == 1, "empty tetrahedron needs t >= 1, gcd(s,t)=1",
     ),
-    SIG21: Family(
-        "P21(%d,%d)", partial(width1_representative, (2, 1)), (2, 1),
-        lambda s, t: 0 <= 2 * s <= t and gcd(s, t) == 1, "(2,1) needs 0 <= s <= t/2, gcd(s,t)=1",
+    Family(
+        SIG21, "P21(%d,%d)", lambda s, t: ((0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (s, t, 1)),
+        (2, 1), lambda s, t: 0 <= 2 * s <= t and gcd(s, t) == 1,
+        "(2,1) needs 0 <= s <= t/2, gcd(s,t)=1",
     ),
-    SIG22: Family("P22", partial(width1_representative, (2, 2)), (2, 2)),
-    SIG31: Family("P31", partial(width1_representative, (3, 1)), (3, 1)),
-    SIG32: Family(
-        "P32(%d,%d)", partial(width1_representative, (3, 2)), (3, 2),
-        lambda s, t: 0 < s <= t and gcd(s, t) == 1, "(3,2) needs 0 < s <= t, gcd(s,t)=1",
+    Family(SIG22, "P22", lambda: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 2)),
+    Family(SIG31, "P31", lambda: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)), (3, 1)),
+    Family(
+        SIG32, "P32(%d,%d)", lambda s, t: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (s, t, 1)),
+        (3, 2), lambda s, t: 0 < s <= t and gcd(s, t) == 1, "(3,2) needs 0 < s <= t, gcd(s,t)=1",
     ),
-    WIDTH2: Family("W2:%d", width2_representative),
-    EMBEDDED_POLYGON: Family("E:%d", embedded_polygon),
-}
+    Family(WIDTH2, "W2:%d", needs="width-2 table rows are", table=(
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 2, 3)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (-2, -1, -2)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 2, 1), (-1, -1, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 3, 1), (-1, -2, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-1, -2, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-1, -1, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 7, 1), (-1, -2, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (3, 7, 1), (-2, -3, -1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 5, 1), (-3, -5, -2)),
+    )),
+    # i=1 is the segment of length 3, i=2 the triangle with a length-2
+    # edge, i=3 the unit square, i=4 the exceptional triangle
+    Family(EMBEDDED_POLYGON, "E:%d", needs="embedded polygons are", table=(
+        ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)),
+        ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)),
+    )),
+)}
 
 WIDTH1_SIGNATURES = {tag: f.signature for tag, f in FAMILIES.items() if f.signature}
 _SIGNATURE_TAGS = {sig: tag for tag, sig in WIDTH1_SIGNATURES.items()}
+
+
+def empty_tetrahedron(s: int, t: int) -> LatticePolytope:
+    """T(s,t) = Conv{(0,0,0),(1,0,0),(0,0,1),(s,t,1)}, gcd(s,t)=1."""
+    return FAMILIES[EMPTY_TETRA].make(s, t)
+
+
+def width1_representative(sig: tuple[int, int], s: int = 0, t: int = 0) -> LatticePolytope:
+    """Width-1 five-point representative for signature (2,1), (2,2), (3,1) or
+    (3,2); (s, t) = (0, 0), the default, for the two without parameters."""
+    try:
+        tag = _SIGNATURE_TAGS[sig]
+    except (KeyError, TypeError):  # TypeError: a list or other unhashable sig
+        raise InvalidParams(f"unknown width-1 signature {sig}") from None
+    return FAMILIES[tag].make(s, t)
+
+
+def width2_representative(row: int) -> LatticePolytope:
+    return FAMILIES[WIDTH2].make(row)
+
+
+def embedded_polygon(i: int) -> LatticePolytope:
+    """Representative i of the 4-point polygon classes, embedded at z=0."""
+    return FAMILIES[EMBEDDED_POLYGON].make(i)
 
 # The families of each census, in row order.
 CENSUS_FAMILIES = {4: (EMPTY_TETRA,), 5: (SIG21, SIG22, SIG31, SIG32)}

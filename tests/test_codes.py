@@ -16,7 +16,6 @@ from toric3.errors import (
 )
 from toric3.galois import make_field
 from toric3.polytopes import (
-    WIDTH2,
     LatticePolytope,
     embedded_polygon,
     empty_tetrahedron,
@@ -56,18 +55,19 @@ def test_exponent_collision():
 @pytest.mark.parametrize("bad", [1.5, "1"])
 def test_a_non_integer_exponent_is_invalid(bad):
     # each exponent used to be read through int(): 1.5 gave a [216, 3] code
-    # of distance 180.  A tagged polytope checks no coordinate itself (the
-    # guard test of tests/test_source_rules.py has the untagged one), so
-    # the code does
+    # of distance 180.  A polytope checks its own coordinates (the guard
+    # test of tests/test_source_rules.py), so the points go in directly
     points = ((0, 0, 0), (bad, 0, 0), (0, 0, 1))
     with pytest.raises(InvalidParams):
-        build_code(make_field(7), LatticePolytope(points, WIDTH2, (1,)))
+        build_generator_matrix(make_field(7), points)
 
 
 def test_numpy_integers_and_bools_are_integer_exponents():
     points = [(np.int64(1), True, 0), (0, np.uint8(2), False)]
     expected = build_generator_matrix(make_field(7), [(1, 1, 0), (0, 2, 0)])
     assert np.array_equal(build_generator_matrix(make_field(7), points), expected)
+    # a generator is read once: its length check used to use it up
+    assert np.array_equal(build_generator_matrix(make_field(7), (p for p in points)), expected)
 
 
 @pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 0, 1)), ((0, 0), (1, 0, 0)), (), ((),)])

@@ -17,17 +17,19 @@ from toric3.classify import (
     theorem_verdict,
 )
 from toric3.cli import main
-from toric3.errors import InvalidParams, NoFormulaForFamily
+from toric3.errors import InvalidParams, NoFormulaForFamily, OutOfRange
 from toric3.formulas import dim5_distance, distance_formula
 from toric3.galois import _factor_prime_power, make_field
 from toric3.polytopes import (
     CUSTOM,
+    EMBEDDED_POLYGON,
     EMPTY_TETRA,
     FAMILIES,
     SIG21,
     SIG22,
     SIG31,
     SIG32,
+    WIDTH2,
     LatticePolytope,
     affine_dependence,
     embedded_polygon,
@@ -194,6 +196,35 @@ def test_a_tagged_polytope_has_its_family_arity(tag, params):
     fam = FAMILIES[tag]
     points = (fam.make(1, 4) if fam.admits else fam.make()).points
     with pytest.raises(InvalidParams):
+        LatticePolytope(points, tag, params)
+
+
+@pytest.mark.parametrize("poly", [p for p in POLYTOPES if p.family != CUSTOM],
+                         ids=lambda p: p.describe())
+def test_a_tagged_polytope_has_its_row_points(poly):
+    assert LatticePolytope(poly.points, poly.family, poly.params) == poly
+    # equal floats are kept as the row's integers
+    floats = tuple(tuple(map(float, p)) for p in poly.points)
+    kept = LatticePolytope(floats, poly.family, poly.params).points
+    assert kept == poly.points and all(type(a) is int for p in kept for a in p)
+    others = {p.points for p in POLYTOPES} - {poly.points} | {poly.points[::-1]}
+    for points in others:
+        with pytest.raises(InvalidParams):
+            LatticePolytope(points, poly.family, poly.params)
+
+
+@pytest.mark.parametrize("points,tag,params,error", [
+    # over GF(7), theorem_verdict called these T(1,3) points, tagged T(1,2),
+    # EQUIVALENT to T(1,2), though the distances are 171 and 178
+    (empty_tetrahedron(1, 3).points, EMPTY_TETRA, (1, 2), InvalidParams),
+    (((0, 0, 0), (1, 0, 0), (0, 0, 1), (5, 7, 1)), EMPTY_TETRA, (1, 2), InvalidParams),
+    # describe() raised a bare TypeError on it
+    (((0, 0, 0), (1, 0, 0)), EMBEDDED_POLYGON, (), InvalidParams),
+    # accepted as W2:42
+    (width2_representative(1).points, WIDTH2, (42,), OutOfRange),
+], ids=["T(1,3) as T(1,2)", "not a family's as T(1,2)", "E without i", "W2:42"])
+def test_a_tagged_polytope_is_refused_off_its_row(points, tag, params, error):
+    with pytest.raises(error):
         LatticePolytope(points, tag, params)
 
 

@@ -4,6 +4,7 @@ import ast
 import builtins
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,6 +117,40 @@ def test_classify_trusts_the_polytopes_it_is_given():
     assert not bad, f"classify.py: rule checks or function-valued defaults at {bad}"
 
 
+class _TaggedPolytopeCalls(ast.NodeVisitor):
+    """The scopes, such as ``Family.make``, of the calls that pass
+    ``LatticePolytope`` a family other than CUSTOM."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        family = node.args[1:2] + [k.value for k in node.keywords if k.arg == "family"]
+        if name == "LatticePolytope" and any(getattr(f, "id", None) != "CUSTOM" for f in family):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_family_make_tags_a_polytope():
+    """A family's points, rule and arity are stated once, in its
+    ``FAMILIES`` row, so ``Family.make`` is the one place in the package
+    that makes a tagged polytope."""
+    found = set()
+    for path in MODULES:
+        calls = _TaggedPolytopeCalls()
+        calls.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {(path.name, scope) for scope in calls.found}
+    assert found == {("polytopes.py", "Family.make")}
+
+
 def _integer_guard_calls():
     """(name, function, a valid argument tuple) for every public entry that
     takes integers; each int in the tuple, nested ones included, is a slot."""
@@ -125,7 +160,7 @@ def _integer_guard_calls():
     )
     from toric3.codes import build_generator_matrix
     from toric3.polytopes import (
-        WIDTH2, AffineUnimodularMap, LatticePolytope, det4, embedded_polygon,
+        AffineUnimodularMap, LatticePolytope, det4, embedded_polygon,
         hull_lattice_points, lattice_width, parameter_sweep, white_canonical,
         white_equivalence_map, width2_representative,
     )
@@ -156,9 +191,9 @@ def _integer_guard_calls():
         ("AffineUnimodularMap.apply_point",
          AffineUnimodularMap(identity, (0, 0, 0)).apply_point, ((0, 1, 0),)),
         ("det4", det4, tetra),
-        # tagged, so that the points reach lattice_width's own check, not the
-        # one an untagged polytope makes as it is built
-        ("lattice_width", lambda *p: lattice_width(LatticePolytope(p, WIDTH2, (1,))), tetra),
+        # not a LatticePolytope, so that the points reach lattice_width's own
+        # check, not the one a polytope makes as it is built
+        ("lattice_width", lambda *p: lattice_width(SimpleNamespace(points=p)), tetra),
         ("hull_lattice_points", hull_lattice_points, (tetra,)),
     ]
 
