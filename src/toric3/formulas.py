@@ -60,7 +60,7 @@ def degenerate_distance(i: int, q: int) -> DistanceResult:
     Exact for i in {1, 2, 3}; for the exceptional triangle (i = 4) only
     a strict lower bound d > (q-1)^3 - (1+q+2*sqrt(q))(q-1) is known.
     """
-    embedded_polygon(i)  # raises OutOfRange unless i is a row of E
+    embedded_polygon(i)  # InvalidParams unless i is an integer, OutOfRange unless a row of E
     _check_q(q, 5 if i == 1 else 3)
     n = (q - 1) ** 3
     if i == 1:

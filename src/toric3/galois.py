@@ -189,25 +189,27 @@ def _smallest_primitive_root(p: int) -> int:
     raise UnsupportedOrder(f"no primitive root found mod {p}")
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 7.0 stays no prime power after make_field(7)
 def make_field(q: int) -> FieldSpec:
     """Build GF(q), 3 <= q <= 64, q a prime power.
 
     Extension fields use a pinned primitive polynomial; prime fields use
-    the smallest primitive root mod p.
+    the smallest primitive root mod p.  Fields are cached by (p, m).
     """
     pm = _factor_prime_power(q)
     if pm is None:
         raise NotPrimePower(f"q={q} is not a prime power")
-    p, m = pm
     if q < 3 or q > MAX_ORDER:
         raise UnsupportedOrder(f"q={q} outside supported range [3, {MAX_ORDER}]")
+    if pm[1] > 1 and q not in _PRIMITIVE_POLY:
+        raise UnsupportedOrder(f"no primitive polynomial pinned for q={q}")
+    return _field(*pm)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, m: int) -> FieldSpec:
     if m == 1:
         return FieldSpec(p, 1, None, _smallest_primitive_root(p))
-    if q not in _PRIMITIVE_POLY:
-        raise UnsupportedOrder(f"no primitive polynomial pinned for q={q}")
-    _, coeffs = _PRIMITIVE_POLY[q]
-    return FieldSpec(p, m, coeffs, p)  # alpha encodes the polynomial x
+    return FieldSpec(p, m, _PRIMITIVE_POLY[p**m][1], p)  # alpha encodes the polynomial x
 
 
 def _check_t(t) -> None:

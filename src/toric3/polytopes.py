@@ -71,16 +71,20 @@ WIDTH2 = "WIDTH2"
 EMBEDDED_POLYGON = "EMBEDDED_POLYGON"
 CUSTOM = "CUSTOM"
 
+_FROM_ROW = object()  # the points of a polytope that ``Family.make`` leaves to its row
+
 
 @dataclass(frozen=True)
 class LatticePolytope:
     """Ordered list of lattice points plus family metadata.
 
     The point order is fixed by the defining family and determines the
-    generator-matrix row order downstream.  A polytope tagged with a family
-    is checked against its ``FAMILIES`` row as it is made, params first,
-    and then keeps the row's points for them, which its own must equal; an
-    untagged one has its coordinates checked to be distinct integer points.
+    generator-matrix row order downstream.  ``params`` is a tuple of
+    integers.  A polytope tagged with a family reads its ``FAMILIES`` row
+    here, the one place that does: its params are checked against the
+    row's arity, then its table range or its (s, t) rule, and it keeps the
+    row's points for them, which its own must equal.  An untagged one has
+    its coordinates checked to be distinct integer points.
     """
 
     points: tuple[Point, ...]
@@ -88,17 +92,30 @@ class LatticePolytope:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
+        params = self.params
+        if not (isinstance(params, tuple) and all(isinstance(a, Integral) for a in params)):
+            raise InvalidParams(f"params must be a tuple of integers; got {params!r}")
         fam = FAMILIES.get(self.family)
         if fam is None:
             _require_integers(self.points)
             if len(set(self.points)) != len(self.points):
                 raise InvalidParams("polytope points must be pairwise distinct")
             return
-        points = fam.row_points(self.params)
-        if self.points != points:
+        arity = fam.spec.count("%d")
+        if self.points is _FROM_ROW and not arity and params == (0, 0):
+            params = ()  # what parameter_sweep gives a family without parameters
+        if len(params) != arity:
+            raise InvalidParams(f"{self.family} takes {arity} parameters; got {params}")
+        if fam.admits and not fam.admits(*params):
+            raise InvalidParams(f"{fam.needs}; got ({params[0]},{params[1]})")
+        if fam.table and not 1 <= params[0] <= len(fam.table):
+            raise OutOfRange(f"{fam.needs} 1..{len(fam.table)}; got {params[0]}")
+        points = fam.table[params[0] - 1] if fam.table else fam.points(*params)
+        if self.points is not _FROM_ROW and self.points != points:
             raise InvalidParams(
-                f"{self.family} {self.params} has the points {points}; got {self.points}")
+                f"{self.family} {params} has the points {points}; got {self.points}")
         object.__setattr__(self, "points", points)  # equal floats become the row's ints
+        object.__setattr__(self, "params", params)
 
     @property
     def k(self) -> int:
@@ -190,8 +207,8 @@ class Family:
     of (s, t) or a constant, or, for a parameter i, row i of ``table``,
     counted from 1.  ``admits`` is the rule of (s, t), and ``needs`` states
     the rule or names the table's rows in words.  ``signature`` is that of
-    a width-1 family.  Every ``LatticePolytope`` with the tag is checked
-    against the row as it is made."""
+    a width-1 family.  The row is read only by ``LatticePolytope``, once
+    for every polytope with the tag as it is made."""
 
     tag: str
     spec: str
@@ -201,30 +218,11 @@ class Family:
     needs: str = ""
     table: tuple[tuple[Point, ...], ...] = ()
 
-    def row_points(self, params: tuple) -> tuple[Point, ...]:
-        """The family's points for params, once the params are checked:
-        their number against the spec, then the rule (InvalidParams both)
-        or the table's range (OutOfRange)."""
-        arity = self.spec.count("%d")
-        if len(params) != arity:
-            raise InvalidParams(f"{self.tag} takes {arity} parameters; got {params}")
-        if self.table:
-            (i,) = params
-            if not (isinstance(i, Integral) and 1 <= i <= len(self.table)):
-                raise OutOfRange(f"{self.needs} 1..{len(self.table)}; got {i}")
-            return self.table[i - 1]
-        if self.admits:
-            s, t = params
-            if not (isinstance(s, Integral) and isinstance(t, Integral) and self.admits(s, t)):
-                raise InvalidParams(f"{self.needs}; got ({s},{t})")
-        return self.points(*params)
-
     def make(self, *params) -> LatticePolytope:
-        """The family's polytope for params; (0, 0), what ``parameter_sweep``
+        """The family's polytope for params, which ``LatticePolytope`` checks
+        and reads the row's points for; (0, 0), what ``parameter_sweep``
         gives a family without parameters, is none."""
-        if params == (0, 0) and "%d" not in self.spec:
-            params = ()
-        return LatticePolytope(self.row_points(params), self.tag, params)
+        return LatticePolytope(_FROM_ROW, self.tag, params)
 
 
 FAMILIES: dict[str, Family] = {f.tag: f for f in (

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +229,30 @@ def test_a_tagged_polytope_is_refused_off_its_row(points, tag, params, error):
         LatticePolytope(points, tag, params)
 
 
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_params_given_as_a_list_are_invalid(tag):
+    # a list was accepted, and describe() and hash() then raised a bare TypeError
+    fam = FAMILIES[tag]
+    poly = fam.make(1, 2) if fam.admits else fam.make(1) if fam.table else fam.make()
+    with pytest.raises(InvalidParams, match="params must be a tuple of integers"):
+        LatticePolytope(poly.points, tag, list(poly.params))
+
+
+@pytest.mark.parametrize("tag", [t for t, f in FAMILIES.items() if f.admits])
+def test_make_runs_its_family_rule_once(monkeypatch, tag):
+    # make read the row, and the polytope it made read it again
+    fam, calls = FAMILIES[tag], []
+    want = fam.make(1, 2)
+
+    def admits(s, t):
+        calls.append((s, t))
+        return fam.admits(s, t)
+
+    monkeypatch.setitem(FAMILIES, tag, replace(fam, admits=admits))
+    assert FAMILIES[tag].make(1, 2) == want
+    assert calls == [(1, 2)]
+
+
 def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     pairs, read = [], []
 
@@ -259,6 +284,13 @@ def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     lambda: width1_representative((2, 1), 0.5, 3),
     lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, (1, 2.0)),
     lambda: dim5_distance((3, 2), 7, 1.0, 2),
+    # make's (0, 0) test raised a bare ValueError: the truth value of an array
+    lambda: empty_tetrahedron(np.array([1, 2]), 3),
+    # params that are no tuple: None and an int raised a bare TypeError,
+    # an array was accepted
+    lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, None),
+    lambda: LatticePolytope(width2_representative(1).points, WIDTH2, 1),
+    lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, np.array([1, 2])),
 ])
 def test_non_integer_params_are_invalid(make):
     # the rule's gcd took a float with a bare TypeError

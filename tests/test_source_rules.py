@@ -117,12 +117,12 @@ def test_classify_trusts_the_polytopes_it_is_given():
     assert not bad, f"classify.py: rule checks or function-valued defaults at {bad}"
 
 
-class _TaggedPolytopeCalls(ast.NodeVisitor):
-    """The scopes, such as ``Family.make``, of the calls that pass
-    ``LatticePolytope`` a family other than CUSTOM."""
+class _Scopes(ast.NodeVisitor):
+    """The scopes, such as ``Family.make``, of the nodes that ``hit`` names,
+    as (scope, name) pairs; ``hit`` takes a node and its scope."""
 
-    def __init__(self):
-        self.scope, self.found = [], []
+    def __init__(self, hit):
+        self.hit, self.scope, self.found = hit, [], []
 
     def visit_ClassDef(self, node):
         self.scope.append(node.name)
@@ -131,24 +131,62 @@ class _TaggedPolytopeCalls(ast.NodeVisitor):
 
     visit_FunctionDef = visit_ClassDef
 
-    def visit_Call(self, node):
+    def generic_visit(self, node):
+        name = self.hit(node, self.scope)
+        if name:
+            self.found.append((".".join(self.scope), name))
+        super().generic_visit(node)
+
+
+def _scopes(hit):
+    """(module, scope, name) of every node in the package that ``hit`` names."""
+    found = set()
+    for path in MODULES:
+        scopes = _Scopes(hit)
+        scopes.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {(path.name, *f) for f in scopes.found}
+    return found
+
+
+def _tags_a_polytope(node, scope):
+    """A call that passes ``LatticePolytope`` a family other than CUSTOM."""
+    if isinstance(node, ast.Call):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
         family = node.args[1:2] + [k.value for k in node.keywords if k.arg == "family"]
         if name == "LatticePolytope" and any(getattr(f, "id", None) != "CUSTOM" for f in family):
-            self.found.append(".".join(self.scope))
-        self.generic_visit(node)
+            return name
 
 
 def test_only_family_make_tags_a_polytope():
     """A family's points, rule and arity are stated once, in its
     ``FAMILIES`` row, so ``Family.make`` is the one place in the package
     that makes a tagged polytope."""
-    found = set()
-    for path in MODULES:
-        calls = _TaggedPolytopeCalls()
-        calls.visit(ast.parse(path.read_text(), filename=str(path)))
-        found |= {(path.name, scope) for scope in calls.found}
-    assert found == {("polytopes.py", "Family.make")}
+    assert _scopes(_tags_a_polytope) == {("polytopes.py", "Family.make", "LatticePolytope")}
+
+
+def _reads_a_row(node, scope):
+    """A read of a ``Family``'s ``table`` or ``admits``, or of its
+    ``points``: a call, since a polytope's points are a tuple, or any read
+    of ``self.points`` in the class ``Family``."""
+    if isinstance(node, ast.Attribute) and node.attr in ("table", "admits"):
+        return node.attr
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "points":
+        return "points"
+    if (scope[:1] == ["Family"] and isinstance(node, ast.Attribute) and node.attr == "points"
+            and getattr(node.value, "id", None) == "self"):
+        return "points"
+
+
+def test_only_the_polytope_reads_a_family_row():
+    """A tagged polytope reads its family's row once, as it is made, so
+    ``LatticePolytope.__post_init__`` is the one function that reads a
+    row's points or table, and the sweep's filter the only other one that
+    calls its rule."""
+    row = "LatticePolytope.__post_init__"
+    assert _scopes(_reads_a_row) == {
+        ("polytopes.py", row, "table"), ("polytopes.py", row, "admits"),
+        ("polytopes.py", row, "points"), ("polytopes.py", "parameter_sweep", "admits"),
+    }
 
 
 def _integer_guard_calls():
@@ -208,11 +246,11 @@ def _with_slot_replaced(args, bad):
         yield from ((*args[:i], sub, *args[i + 1 :]) for sub in subs)
 
 
-@pytest.mark.parametrize("bad", [2.5, "2"], ids=["float", "str"])
+@pytest.mark.parametrize("bad", [2.5, "2", [2]], ids=["float", "str", "list"])
 def test_a_non_integer_in_an_integer_slot_raises_a_toric3_error(bad):
-    """A float or a string where an integer belongs raises a Toric3Error
-    subclass, never a bare TypeError or IndexError, and is never read as
-    an integer."""
+    """A float, a string or a list where an integer belongs raises a
+    Toric3Error subclass, never a bare TypeError or IndexError, and is
+    never read as an integer."""
     from toric3.errors import Toric3Error
 
     escaped = []
