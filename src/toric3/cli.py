@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -82,14 +83,24 @@ def cmd_equiv(args) -> int:
 
 def cmd_census(args) -> int:
     field = make_field(args.q)
-    # opened before the census; one writer for either destination, same bytes
+    # --out is opened to append before the census and emptied once the rows
+    # are in hand: a failed census leaves its bytes, or removes it if new.
+    # One writer for either destination, same bytes
+    new = bool(args.out) and not os.path.lexists(args.out)
     try:
-        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        out = open(args.out, "a", newline="") if args.out else nullcontext(sys.stdout)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     with out as fh:
-        rows = [e.row(args.q) for e in classify.census(field, args.dim)]
+        try:
+            rows = [e.row(args.q) for e in classify.census(field, args.dim)]
+        except BaseException:
+            if new:
+                os.remove(args.out)
+            raise
+        if args.out:
+            fh.truncate(0)
         if args.format == "json":
             fh.write(_json_rows(rows))
         else:

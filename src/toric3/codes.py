@@ -43,15 +43,15 @@ side there, which is 1 at most points.  So a pass writes each term it
 needs once into one table, in one ``_monomial_rows``, and builds every
 block from row copies of it; ``_words``, the evaluator of ``encode`` and
 ``count_zeros``, gathers each term from the mul table instead.  Both sum
-through ``_add_words``: XOR in characteristic 2, a byte add reduced mod p
-in a prime field and an add-table gather otherwise, which only ``_words``
-takes: the kernel's table holds GF(9), GF(25), GF(27) and GF(49) in
-another layout (``_layout``), one base-p digit per nibble, uint16 for
-the three digits of GF(27), so that ``_add_nibbles`` adds them as a
-prime field is added, one nibble at a time, with no gather.  Zero is the
-word 0 in every layout, so the zero counts are those of the field's own
-bytes.  A word's zeros are counted over the whole block for short words
-and row by row from n = _ROW_COUNT_WIDTH on.
+through one adder, ``_add_words``, which reads no table: XOR in
+characteristic 2 and a byte add reduced mod p in a prime field.  GF(9),
+GF(25), GF(27) and GF(49) are summed in another layout (``_layout``),
+one base-p digit per nibble, uint16 for the three digits of GF(27), and
+each nibble is reduced as a prime field's byte is; ``_words`` reads its
+sums back to the field's bytes.  Zero is the word 0 in every layout, so
+the kernel's zero counts are those of the field's own bytes.  A word's
+zeros are counted over the whole block for short words and row by row
+from n = _ROW_COUNT_WIDTH on.
 """
 
 from __future__ import annotations
@@ -221,12 +221,18 @@ class ToricCode:
 
     def _words(self, block) -> np.ndarray:
         """uint8 codewords uG, one row per row u of a (b, k) coefficient
-        block with entries in range(q)."""
-        f = self.field
-        words = f.mul_u8[block[:, 0]][:, self.G[0]]
+        block with entries in range(q), summed in the field's word format
+        and read back from a ``_layout`` through its inverse."""
+        f, layout = self.field, _layout(self.field)
+        products = f.mul_u8 if layout is None else layout[f.mul_u8]
+        words = products[block[:, 0]][:, self.G[0]]
         for r in range(1, self.k):
-            words = _add_words(f, words, f.mul_u8[block[:, r]][:, self.G[r]])
-        return words
+            words = _add_words(f, words, products[block[:, r]][:, self.G[r]])
+        if layout is None:
+            return words
+        elements = np.zeros(int(layout.max()) + 1, dtype=np.uint8)
+        elements[layout] = np.arange(f.q)
+        return elements[words]
 
     def count_zeros(self, u) -> int:
         """Number of torus points at which the polynomial with
@@ -363,7 +369,7 @@ def _zero_counts(field: FieldSpec, points, sides: np.ndarray):
     first_cr + d for d < top_cr, code by code and point by point, all
     written by one ``_monomial_rows``.  A block is k row copies from it,
     summed.  In GF(9), GF(25), GF(27) and GF(49) the table is in the
-    field's ``_layout``, which ``_add_nibbles`` adds.
+    field's ``_layout``, the format ``_add_words`` adds with no gather.
     """
     k, m = len(points[0]), len(points[0][0])
     n1 = field.q - 1
@@ -371,9 +377,8 @@ def _zero_counts(field: FieldSpec, points, sides: np.ndarray):
     on = _mask_tables(k)[0][1:]  # the points of each support
     tops = sides.max(axis=1).ravel()  # per (code, point), in batch order
     first = np.cumsum(tops) - tops + 1  # the table row of alpha^0 * G_c[r]
-    powers, add = field.exp_u8, _add_words  # the word of alpha^j at j
-    if (layout := _layout(field)) is not None:
-        powers, add = layout[powers], _add_nibbles
+    # the word of alpha^j at j
+    powers = field.exp_u8 if (layout := _layout(field)) is None else layout[field.exp_u8]
     table = np.zeros((1 + int(tops.sum()), n), dtype=powers.dtype)
     # row first_cr + d: point r of code c at digit d
     _monomial_rows(np.repeat(np.reshape(points, (-1, m)), tops, 0),
@@ -397,7 +402,7 @@ def _zero_counts(field: FieldSpec, points, sides: np.ndarray):
         rank = digits + pair_first[pair]  # each term's table row
         words = table[rank[:, 0]]
         for r in range(1, k):
-            words = add(field, words, table[rank[:, r]])
+            words = _add_words(field, words, table[rank[:, r]])
         if n < _ROW_COUNT_WIDTH:
             zeros = np.count_nonzero(words == 0, axis=1)
         else:
@@ -407,10 +412,10 @@ def _zero_counts(field: FieldSpec, points, sides: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _layout(field: FieldSpec) -> np.ndarray | None:
-    """The kernel's word for each element of GF(p^m), p odd and m > 1: the
-    sum of d_i * 16^i over its base-p digits d_i, one digit per nibble, so
-    zero is still 0; uint8 for m = 2 and uint16 for q = 27.  None for the
-    other fields, whose words are their elements."""
+    """The word that ``_add_words`` adds for each element of GF(p^m), p odd
+    and m > 1: the sum of d_i * 16^i over its base-p digits d_i, one digit
+    per nibble, so zero is still 0; uint8 for m = 2 and uint16 for q = 27.
+    None for the other fields, whose words are their elements."""
     if field.p == 2 or field.m == 1:
         return None
     elements = np.arange(field.q)
@@ -421,28 +426,18 @@ def _layout(field: FieldSpec) -> np.ndarray | None:
 
 
 def _add_words(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """words + term in GF(q), entrywise on two uint8 arrays of one shape.
-    The sum overwrites words, except where it is read off the add table."""
+    """words + term in GF(q), entrywise on two arrays of one shape in the
+    field's ``_layout``, or its bytes where that is None; the sum may
+    overwrite words.  XOR in characteristic 2; otherwise each base-p digit,
+    a byte in a prime field and a nibble in a layout, sums to s <= 2p - 2,
+    which carries into no other digit, and s - p, shifted to the digit,
+    wraps past s when s < p <= 61, so the minimum of the two is s mod p."""
     if field.p == 2:
         return np.bitwise_xor(words, term, out=words)
-    if field.m == 1:
-        # the sum s <= 2p - 2 fits a byte; s - p wraps past s when
-        # s < p <= 61, so the minimum of the two is s mod p
-        words += term
-        return np.minimum(words, words - np.uint8(field.p), out=words)
-    # a + b is entry a*q + b < 4096 of the flattened add table
-    index = np.multiply(words, field.q, dtype=np.uint16)
-    index += term
-    return field.add_u8.reshape(-1)[index]
-
-
-def _add_nibbles(field: FieldSpec, words: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """words + term in GF(p^m), p odd, entrywise on two arrays of one shape
-    in the field's ``_layout``.  Each nibble's sum s <= 2p - 2 < 16 carries
-    into no other, and each is reduced mod p by the prime-field minimum:
-    s - p, shifted to its nibble, wraps past s when s < p."""
     words += term
     one = words.dtype.type
+    if field.m == 1:
+        return np.minimum(words, words - one(field.p), out=words)
     low = words & one(15)
     np.minimum(low, low - one(field.p), out=low)
     for shift in range(4, 4 * field.m, 4):

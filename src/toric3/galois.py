@@ -11,10 +11,10 @@ hence every column ordering and JSON output downstream, reproducible.
 All units are powers of the generator ``alpha``; ``exp``/``log`` tables
 are mutually inverse on units.  Full q x q add/mul tables are
 precomputed by numpy from the digit array (q <= 64, so at most 4096
-entries each) because the zero-counting kernel indexes them.  Every
-element fits a byte, so the exp, add and mul tables also come as
-read-only uint8 copies (``exp_u8``, ``add_u8``, ``mul_u8``): the kernel
-builds its generator matrices and codewords from those.
+entries each) for the scalar arithmetic below.  Every element fits a
+byte, so the exp and mul tables also come as read-only uint8 copies
+(``exp_u8``, ``mul_u8``), from which ``codes`` builds its generator
+matrices and codewords; it adds them digit by digit, with no table.
 """
 
 from __future__ import annotations
@@ -109,13 +109,10 @@ class FieldSpec:
         mul = np.zeros((q, q), dtype=np.int64)
         mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self.mul_table = mul
-        # the kernel's copies: q <= 64, so every element fits a byte
-        self.exp_u8, self.add_u8, self.mul_u8 = (
-            t.astype(np.uint8) for t in (exp, self.add_table, mul)
-        )
+        # the codes' copies: q <= 64, so every element fits a byte
+        self.exp_u8, self.mul_u8 = exp.astype(np.uint8), mul.astype(np.uint8)
         # make_field hands every caller the same cached tables
-        for table in (exp, log, self.add_table, self.neg_table, mul,
-                      self.exp_u8, self.add_u8, self.mul_u8):
+        for table in (exp, log, self.add_table, self.neg_table, mul, self.exp_u8, self.mul_u8):
             table.setflags(write=False)
 
     # -- arithmetic ----------------------------------------------------------

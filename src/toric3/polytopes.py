@@ -80,11 +80,12 @@ class LatticePolytope:
 
     The point order is fixed by the defining family and determines the
     generator-matrix row order downstream.  ``params`` is a tuple of
-    integers.  A polytope tagged with a family reads its ``FAMILIES`` row
-    here, the one place that does: its params are checked against the
-    row's arity, then its table range or its (s, t) rule, and it keeps the
-    row's points for them, which its own must equal.  An untagged one has
-    its coordinates checked to be distinct integer points.
+    integers, and ``family`` a ``FAMILIES`` tag or CUSTOM, the untagged.
+    A tagged polytope reads its ``FAMILIES`` row here, the one place that
+    does: its params are checked against the row's arity, then its table
+    range or its (s, t) rule, and it keeps the row's points for them, which
+    its own must equal.  An untagged one has its points checked to be a
+    tuple of distinct tuples of integers.
     """
 
     points: tuple[Point, ...]
@@ -92,13 +93,18 @@ class LatticePolytope:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        params = self.params
+        params, family = self.params, self.family
         if not (isinstance(params, tuple) and all(isinstance(a, Integral) for a in params)):
             raise InvalidParams(f"params must be a tuple of integers; got {params!r}")
-        fam = FAMILIES.get(self.family)
+        if not isinstance(family, str) or family != CUSTOM and family not in FAMILIES:
+            raise InvalidParams(f"family must be a FAMILIES tag or CUSTOM; got {family!r}")
+        fam = FAMILIES.get(family)
         if fam is None:
-            _require_integers(self.points)
-            if len(set(self.points)) != len(self.points):
+            points = self.points
+            if not (isinstance(points, tuple) and all(isinstance(p, tuple) for p in points)):
+                raise InvalidParams(f"points must be a tuple of tuples; got {points!r}")
+            _require_integers(points)
+            if len(set(points)) != len(points):
                 raise InvalidParams("polytope points must be pairwise distinct")
             return
         arity = fam.spec.count("%d")

@@ -33,3 +33,21 @@ def test_census_json_is_the_indented_dump(q, dim, tmp_path, capsysbinary):
     path = tmp_path / "census.json"
     assert main(argv + ["--out", str(path)]) == 0
     assert path.read_bytes() == want
+
+
+def test_a_failed_census_leaves_the_out_file_as_it_was(tmp_path, capsysbinary):
+    # --out was opened for writing before the census ran, so a census that
+    # failed emptied the file, or left a new empty one
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    kept = b"kept\n" * 4096  # longer than the census below
+    old.write_bytes(kept)
+    for path in (old, new):
+        assert main(["census", "--q", "4", "--dim", "5", "--out", str(path)]) == 1
+    assert capsysbinary.readouterr().err.count(b"error: ") == 2
+    assert old.read_bytes() == kept and not new.exists()
+    # a census that succeeds replaces every byte
+    argv = ["census", "--q", "5", "--dim", "4"]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(old)]) == 0
+    assert old.read_bytes() == stdout

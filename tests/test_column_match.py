@@ -359,7 +359,8 @@ def test_witness_sorts_nothing(sorts, q, specs):
     assert _repeats_a_column(c1) == (q == 7)
 
 
-@pytest.mark.parametrize("q, spec", [(5, "T(1,2)"), (7, "P21(1,3)"), (8, "T(1,3)")])
+@pytest.mark.parametrize("q, spec", [(5, "T(1,2)"), (7, "P21(1,3)"), (8, "T(1,3)"),
+                                     (9, "P21(1,3)")])
 def test_codewords_equal_pointwise_evaluation(q, spec):
     field = make_field(q)
     poly = parse_polytope_spec(spec)
@@ -389,7 +390,7 @@ ALL_ORDERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 
 @pytest.mark.parametrize("q", ALL_ORDERS)
 def test_every_field_sums_codewords_like_its_scalar_arithmetic(q):
     # 1-D torus, n = q-1: XOR for p = 2, add-and-reduce for m = 1,
-    # the add-table gather for q = 9, 25, 27, 49
+    # the nibble add in the _layout for q = 9, 25, 27, 49
     field = make_field(q)
     points = tuple((a,) for a in range(min(4, q - 1)))
     code = build_code(field, LatticePolytope(points))

@@ -196,7 +196,7 @@ def test_a_batch_gives_each_code_what_a_pass_of_it_alone_gives(monkeypatch, q, d
     # first 12 of them), enumerated in batches of two codes with 7-row
     # blocks, so that blocks hold rows of two codes and batches cut
     # the sweep, against a pass of each code alone at the default budgets;
-    # q = 9 and 25 add through the add table
+    # q = 9 and 25 add in their nibble layout
     field = make_field(q)
     first = {}
     for family, s, t in parameter_sweep(q, dim):
@@ -309,17 +309,25 @@ def test_the_nibble_add_decodes_to_the_add_table(q):
     decode[layout] = np.arange(q)
     assert layout[0] == 0 and len(set(layout.tolist())) == q
     a, b = np.repeat(layout, q), np.tile(layout, q)
-    assert np.array_equal(decode[codes._add_nibbles(field, a, b)], field.add_u8.ravel())
+    assert np.array_equal(decode[codes._add_words(field, a, b)], field.add_table.ravel())
     assert all(codes._layout(make_field(q)) is None for q in (7, 8, 16, 61, 64))
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49])
 def test_the_kernel_reads_no_add_table_in_a_nibble_field(monkeypatch, q):
-    # the pass passes its sum and moment checks and gives the closed form
+    # the pass passes its sum and moment checks and gives the closed form,
+    # and encode and count_zeros, whose _words gathered from add_u8, give
+    # with the add tables patched away what they gave before
     field = make_field(q)
     code = build_code(field, parse_polytope_spec("P21(1,3)"))
-    monkeypatch.setattr(field, "add_u8", None)
-    assert code.min_distance_brute().value == dim5_distance((2, 1), q, 1, 3).value
+    u = np.random.default_rng(q).integers(0, q, code.k).tolist()
+    word, zeros = code.encode(u), code.count_zeros(u)
+    for name in ("add_table", "add_u8"):
+        if hasattr(field, name):
+            monkeypatch.setattr(field, name, None)
+    d = code.min_distance_brute().value
+    assert d == dim5_distance((2, 1), q, 1, 3).value and code.n - zeros >= d
+    assert np.array_equal(code.encode(u), word) and code.count_zeros(u) == zeros
 
 
 def test_product_theorem_at_q32():

@@ -223,7 +223,12 @@ def test_a_tagged_polytope_has_its_row_points(poly):
     (((0, 0, 0), (1, 0, 0)), EMBEDDED_POLYGON, (), InvalidParams),
     # accepted as W2:42
     (width2_representative(1).points, WIDTH2, (42,), OutOfRange),
-], ids=["T(1,3) as T(1,2)", "not a family's as T(1,2)", "E without i", "W2:42"])
+    # kept with its tag and params as an untagged polytope, until
+    # distance_formula raised NoFormulaForFamily on it
+    (((0, 0, 0), (1, 0, 0)), "NOPE", (1,), InvalidParams),
+    (empty_tetrahedron(1, 2).points, "T", (1, 2), InvalidParams),
+], ids=["T(1,3) as T(1,2)", "not a family's as T(1,2)", "E without i", "W2:42",
+        "unknown tag", "a spec's letter as the tag"])
 def test_a_tagged_polytope_is_refused_off_its_row(points, tag, params, error):
     with pytest.raises(error):
         LatticePolytope(points, tag, params)
@@ -291,6 +296,10 @@ def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, None),
     lambda: LatticePolytope(width2_representative(1).points, WIDTH2, 1),
     lambda: LatticePolytope(empty_tetrahedron(1, 2).points, EMPTY_TETRA, np.array([1, 2])),
+    # no points, a list as the tag and lists as points: each raised a bare TypeError
+    lambda: LatticePolytope(None),
+    lambda: LatticePolytope(((0, 0, 0),), ["T"]),
+    lambda: LatticePolytope([[0, 0, 0], [1, 0, 0]]),
 ])
 def test_non_integer_params_are_invalid(make):
     # the rule's gcd took a float with a bare TypeError

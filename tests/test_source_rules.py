@@ -55,7 +55,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "toric3"
 DISTANCE_PATH = {
     "codes.py": {
         "build_generator_matrix", "_monomial_rows", "_reduced_points", "_words", "_add_words",
-        "_layout", "_add_nibbles", "_zero_counts", "_box_sides",
+        "_layout", "_zero_counts", "_box_sides",
         "_wedge_steps", "_mask_tables", "_invariants", "_fill_invariants",
         "_orbit_box", "_extended_gcd",
     },
@@ -186,6 +186,22 @@ def test_only_the_polytope_reads_a_family_row():
     assert _scopes(_reads_a_row) == {
         ("polytopes.py", row, "table"), ("polytopes.py", row, "admits"),
         ("polytopes.py", row, "points"), ("polytopes.py", "parameter_sweep", "admits"),
+    }
+
+
+def _reads_an_add_table(node, scope):
+    """A read of a field's ``add_table``, or of ``add_u8``, its old uint8 copy."""
+    if isinstance(node, ast.Attribute) and node.attr in ("add_table", "add_u8"):
+        return node.attr
+
+
+def test_codes_add_through_no_table():
+    """``codes._add_words`` is the one adder of GF(q) words, in every word
+    format, and reads no table, so no function in codes.py reads a field's
+    add table: only ``FieldSpec`` builds it, for its scalar ``add`` and
+    ``sub``."""
+    assert _scopes(_reads_an_add_table) == {
+        ("galois.py", f"FieldSpec.{name}", "add_table") for name in ("_build_tables", "add", "sub")
     }
 
 
