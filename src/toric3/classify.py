@@ -158,7 +158,13 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
     give an explicit permutation witness, perm[x] = A*x mod q-1 for the
     unit-determinant exponent map A of ``_unit_exponent_map``, checked to
     be a bijection and checked on G; unequal keys are INEQUIVALENT only
-    when a separating invariant corroborates, else INCONCLUSIVE."""
+    when a separating invariant corroborates, else INCONCLUSIVE.
+
+    The column index of A*x is summed in Horner form from the uint16 logs
+    of ``_monomial_rows``, in the narrowest unsigned type that holds n-1
+    (uint32 at q=64), and widened to np.intp once; G is checked row by
+    row, each row of G1 gathered by one 1-D take and compared with G2's,
+    up to the first row that differs."""
     if c1.field.q != c2.field.q:
         raise ShapeMismatch("codes live over different fields")
     if c1.n != c2.n or c1.k != c2.k:
@@ -181,15 +187,18 @@ def witness_equivalence(c1: ToricCode, c2: ToricCode) -> EquivalenceVerdict:
         # z[i]: the log of x^(row i of A), so z = A*x at every column x
         z = _monomial_rows(A, 0, np.arange(n1, dtype=np.uint16),
                            np.empty((c1.m, c1.n), dtype=np.uint16))
-        perm = z[0].astype(np.intp)
+        # every partial sum of the Horner form is below n, so it is exact
+        perm = z[0].astype(np.min_scalar_type(c1.n - 1))
         for axis in z[1:]:
             perm *= n1
             perm += axis
+        perm = perm.astype(np.intp)
         hit = np.zeros(c1.n, dtype=bool)
         hit[perm] = True
         if not hit.all():
             raise failed("perm is not a bijection")
-        if not np.array_equal(g1.take(perm, axis=1), g2):
+        # a 1-D take per row, not one take(axis=1), numpy's strided path
+        if not all(np.array_equal(r1.take(perm), r2) for r1, r2 in zip(g1, g2)):
             raise failed("columns differ")
         return EquivalenceVerdict(EQUIVALENT, "WITNESS", perm)
     if todo := [c for c in (c1, c2) if c._enumerated is None]:

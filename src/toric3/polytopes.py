@@ -85,7 +85,7 @@ class LatticePolytope:
     does: its params are checked against the row's arity, then its table
     range or its (s, t) rule, and it keeps the row's points for them, which
     its own must equal.  An untagged one has its points checked to be a
-    tuple of distinct tuples of integers.
+    tuple of distinct tuples of integers, and takes no params.
     """
 
     points: tuple[Point, ...]
@@ -106,6 +106,8 @@ class LatticePolytope:
             _require_integers(points)
             if len(set(points)) != len(points):
                 raise InvalidParams("polytope points must be pairwise distinct")
+            if params:  # they would split == and hash between equal point lists
+                raise InvalidParams(f"an untagged polytope takes no parameters; got {params}")
             return
         arity = fam.spec.count("%d")
         if self.points is _FROM_ROW and not arity and params == (0, 0):

@@ -244,6 +244,24 @@ def _tied_census_pairs(q, dim):
     return pairs
 
 
+@pytest.mark.parametrize("q, a, b, width", [
+    (7, "T(1,4)", "T(3,4)", np.uint8),
+    (17, "T(1,5)", "T(2,5)", np.uint16),
+    (64, "T(1,4)", "T(3,4)", np.uint32),
+])
+def test_the_witness_permutation_is_exact_at_every_index_width(q, a, b, width):
+    # the index is summed in the narrowest unsigned type that holds n-1 and
+    # comes back as np.intp, the array equiv --verbose and the benchmark read
+    field = make_field(q)
+    c1, c2 = build_code(field, parse_polytope_spec(a)), build_code(field, parse_polytope_spec(b))
+    assert np.min_scalar_type(c1.n - 1) == width
+    A = classify._unit_exponent_map(c1, c2.polytope.points)
+    assert A is not None and A != np.eye(3).tolist()
+    perm = witness_equivalence(c1, c2).detail
+    assert perm.dtype == np.intp
+    assert np.array_equal(perm, exponent_perm(c1, A))
+
+
 @pytest.mark.parametrize("q, dim", [(16, 4), (16, 5), (25, 4), (25, 5)])
 def test_tied_census_witnesses_equal_the_reference(q, dim):
     pairs = _tied_census_pairs(q, dim)

@@ -300,6 +300,9 @@ def test_every_theorem_entry_reaches_the_one_dispatch(monkeypatch):
     lambda: LatticePolytope(None),
     lambda: LatticePolytope(((0, 0, 0),), ["T"]),
     lambda: LatticePolytope([[0, 0, 0], [1, 0, 0]]),
+    # params on an untagged polytope were kept, and split == and hash
+    # between two polytopes that describe() as one point list
+    lambda: LatticePolytope(((0, 0, 0), (1, 0, 0)), CUSTOM, (1,)),
 ])
 def test_non_integer_params_are_invalid(make):
     # the rule's gcd took a float with a bare TypeError
